@@ -55,6 +55,13 @@ let make ~conflict ~k ~bidders ~ordering ~rho =
   | Unweighted _ | Edge_weighted _ -> ());
   if rho < 1.0 then invalid_arg "Instance.make: rho must be >= 1";
   Array.iter (fun b -> Valuation.validate b ~k) bidders;
+  (* Build every CSR now: LP builders walk neighbours from jobs that may
+     run on several domains at once, and must never race to publish the
+     lazily built form. *)
+  (match conflict with
+  | Unweighted g -> Graph.freeze g
+  | Per_channel gs -> Array.iter Graph.freeze gs
+  | Edge_weighted _ | Per_channel_weighted _ -> ());
   { conflict; k; bidders; ordering; rho; available }
 
 let with_available t masks =
@@ -85,6 +92,16 @@ let wbar t ~channel u v =
     | Edge_weighted wg -> Weighted.wbar wg u v
     | Per_channel gs -> if Graph.mem_edge gs.(channel) u v then 1.0 else 0.0
     | Per_channel_weighted wgs -> Weighted.wbar wgs.(channel) u v
+
+let iter_conflicts t ~channel v f =
+  if channel < 0 || channel >= t.k then
+    invalid_arg "Instance.iter_conflicts: channel out of range";
+  let weighted wg = Weighted.iter_wbar wg v (fun u w -> if w > 0.0 then f u w) in
+  match t.conflict with
+  | Unweighted g -> Graph.iter_neighbors g v (fun u -> f u 1.0)
+  | Edge_weighted wg -> weighted wg
+  | Per_channel gs -> Graph.iter_neighbors gs.(channel) v (fun u -> f u 1.0)
+  | Per_channel_weighted wgs -> weighted wgs.(channel)
 
 let is_asymmetric t =
   match t.conflict with

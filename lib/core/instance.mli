@@ -38,7 +38,9 @@ val make :
   t
 (** Validates: all sizes agree, [1 ≤ k ≤ 62] (and [|Per_channel| = k]),
     [rho ≥ 1], every valuation well-formed for [k].  Availability defaults
-    to all channels for everyone; see {!with_available}. *)
+    to all channels for everyone; see {!with_available}.  Freezes the CSR
+    form of every conflict graph ({!Sa_graph.Graph.freeze}), so jobs over
+    the instance only read it. *)
 
 val with_available : t -> Sa_val.Bundle.t array -> t
 (** Replace the availability masks (validated against [k] and [n]). *)
@@ -55,6 +57,13 @@ val wbar : t -> channel:int -> int -> int -> float
 (** Symmetrised conflict weight between two bidders as seen by [channel]:
     1/0 for unweighted graphs, [w̄] for edge-weighted ones, and the
     channel's own graph for [Per_channel]. *)
+
+val iter_conflicts : t -> channel:int -> int -> (int -> float -> unit) -> unit
+(** [iter_conflicts t ~channel v f] calls [f u w] exactly once for every
+    [u ≠ v] with [w = wbar t ~channel u v > 0], in ascending [u]: the CSR
+    neighbours for graphs, the deduplicated union of out- and in-entries
+    for edge weights ({!Sa_graph.Weighted.iter_wbar}).  Costs
+    O(deg v) for graphs and sparse weights, O(n) for dense weights. *)
 
 val is_asymmetric : t -> bool
 

@@ -42,6 +42,9 @@ let interference_mass inst columns ~v ~channel =
       else acc)
     0.0 columns
 
+(* The feasibility checker deliberately stays all-pairs over [wbar]: it
+   shares nothing with [build]'s neighbour walk, so a bug in
+   [Instance.iter_conflicts] cannot hide in both. *)
 let is_lp_feasible ?(eps = Floats.default_eps) inst frac =
   let n = Instance.n inst and k = inst.Instance.k in
   let nonneg = Array.for_all (fun c -> c.x >= -.eps) frac.columns in
@@ -68,53 +71,58 @@ type solve_stats = {
   warm_start_used : bool;
 }
 
-let solve_explicit_stats ?engine ?(zeroed = []) ?warm_start ?max_iters ?deadline
-    ?inject_warm_crash ?pricing ?presolve inst =
+(* LP (1) as a model.  Columns are created bidder by bidder and grouped per
+   bidder, so row (v, j) is gathered from v's earlier-ordered conflict
+   neighbours' columns containing j: O(Σ_v Σ_j Σ_{u∈N_j(v)} |cols(u)|)
+   instead of a scan over every column per row.  Rows are numbered as the
+   all-pairs formulation numbers them — unit-mass rows in bidder order,
+   then interference rows v-major, channel-minor, empty ones skipped — and
+   each row lists its variables in descending order, so the model and its
+   spec are bitwise those of the all-pairs scan. *)
+let build ?(zeroed = []) inst =
   let n = Instance.n inst and k = inst.Instance.k in
   let pi = inst.Instance.ordering in
   let m = Model.create Simplex.Maximize in
-  (* Materialise columns. *)
-  let cols = ref [] in
-  for v = 0 to n - 1 do
-    let support =
-      Valuation.support inst.Instance.bidders.(v) ~k
-      (* availability masks: a bidder may only receive channels open to it *)
-      |> List.filter (fun (bundle, _) ->
-             Bundle.equal bundle (Instance.restrict_bundle inst ~bidder:v bundle))
-    in
-    let zero = List.mem v zeroed in
-    List.iter
-      (fun (bundle, value) ->
-        let obj = if zero then 0.0 else value in
-        let var = Model.add_var m ~obj in
-        cols := (v, bundle, var) :: !cols)
-      support
-  done;
-  let cols = Array.of_list (List.rev !cols) in
+  (* [own.(v)]: v's (v, bundle, var) columns, vars ascending *)
+  let own =
+    Array.init n (fun v ->
+        let zero = List.mem v zeroed in
+        Valuation.support inst.Instance.bidders.(v) ~k
+        (* availability masks: a bidder may only receive channels open to it *)
+        |> List.filter (fun (bundle, _) ->
+               Bundle.equal bundle (Instance.restrict_bundle inst ~bidder:v bundle))
+        |> List.map (fun (bundle, value) ->
+               (v, bundle, Model.add_var m ~obj:(if zero then 0.0 else value)))
+        |> Array.of_list)
+  in
   (* Unit-mass rows. *)
-  let per_bidder_vars = Array.make n [] in
   Array.iter
-    (fun (v, _, var) -> per_bidder_vars.(v) <- (var, 1.0) :: per_bidder_vars.(v))
-    cols;
-  for v = 0 to n - 1 do
-    if per_bidder_vars.(v) <> [] then
-      ignore (Model.add_row m per_bidder_vars.(v) Simplex.Le 1.0)
-  done;
+    (fun mine ->
+      if mine <> [||] then
+        ignore
+          (Model.add_row m
+             (Array.fold_left (fun acc (_, _, var) -> (var, 1.0) :: acc) [] mine)
+             Simplex.Le 1.0))
+    own;
   (* Interference rows, skipping empty ones. *)
   for v = 0 to n - 1 do
     for channel = 0 to k - 1 do
       let coeffs = ref [] in
-      Array.iter
-        (fun (u, bundle, var) ->
-          if u <> v && Ordering.precedes pi u v && Bundle.mem channel bundle then begin
-            let w = Instance.wbar inst ~channel u v in
-            if w > 0.0 then coeffs := (var, w) :: !coeffs
-          end)
-        cols;
+      Instance.iter_conflicts inst ~channel v (fun u w ->
+          if Ordering.precedes pi u v then
+            Array.iter
+              (fun (_, bundle, var) ->
+                if Bundle.mem channel bundle then coeffs := (var, w) :: !coeffs)
+              own.(u));
       if !coeffs <> [] then
         ignore (Model.add_row m !coeffs Simplex.Le inst.Instance.rho)
     done
   done;
+  (m, Array.concat (Array.to_list own))
+
+let solve_explicit_stats ?engine ?zeroed ?warm_start ?max_iters ?deadline
+    ?inject_warm_crash ?pricing ?presolve inst =
+  let m, cols = build ?zeroed inst in
   let ws =
     Model.solve_with_basis ?engine ?warm_start ?max_iters ?deadline
       ?inject_warm_crash ?pricing ?presolve m

@@ -28,7 +28,9 @@ val of_allocation : Instance.t -> Allocation.t -> fractional
 (** The integral LP point of Lemma 1 (x_{v,S(v)} = 1). *)
 
 val is_lp_feasible : ?eps:float -> Instance.t -> fractional -> bool
-(** Checks (1b)/(3b), (1c) and non-negativity against the instance's ρ. *)
+(** Checks (1b)/(3b), (1c) and non-negativity against the instance's ρ.
+    An independent all-pairs check over {!Instance.wbar}: it does not use
+    the neighbour walk that {!build} relies on. *)
 
 val fractional_value_of_bidder : Instance.t -> fractional -> int -> float
 (** [Σ_T b_{v,T}·x_{v,T}]. *)
@@ -41,6 +43,16 @@ val solve_explicit :
     implementation (default dense tableau).  Raises
     [Sa_util.Fail.Error (Solver_numerical _)] when the simplex fails to
     reach optimality. *)
+
+val build :
+  ?zeroed:int list ->
+  Instance.t ->
+  Sa_lp.Model.t * (int * Sa_val.Bundle.t * Sa_lp.Model.var) array
+(** The model {!solve_explicit_stats} solves, with its [(bidder, bundle,
+    var)] columns in variable order.  Interference rows are gathered by
+    walking {!Instance.iter_conflicts}, so construction costs
+    O(Σ_v Σ_j Σ_{u∈N_j(v)} |cols(u)|) rather than O(n·k·|cols|).  Exposed
+    so tests can compare it against an all-pairs reference. *)
 
 type solve_stats = {
   basis : Sa_lp.Revised.basis option;

@@ -126,18 +126,15 @@ module Column_pool = struct
 end
 
 (* Raw Section-3.1 price sums, before clamping and availability deterrents:
-   p_raw(v,j) = Σ_{u ≻ v} w̄_j(u,v) · y(u,j), accumulated with u ascending.
-   The incremental path recomputes stale entries with this exact function,
-   so its results are bitwise identical to a full naive recompute. *)
+   p_raw(v,j) = Σ_{u ≻ v} w̄_j(u,v) · y(u,j), accumulated with u ascending
+   over v's channel-j conflict neighbours.  The incremental path recomputes
+   stale entries with this exact function, so its results are bitwise
+   identical to a full naive recompute. *)
 let raw_price inst ~y ~bidder ~channel =
   let pi = inst.Instance.ordering in
   let acc = ref 0.0 in
-  for u = 0 to Instance.n inst - 1 do
-    if u <> bidder && Ordering.precedes pi bidder u then begin
-      let w = Instance.wbar inst ~channel u bidder in
-      if w > 0.0 then acc := !acc +. (w *. y u channel)
-    end
-  done;
+  Instance.iter_conflicts inst ~channel bidder (fun u w ->
+      if Ordering.precedes pi bidder u then acc := !acc +. (w *. y u channel));
   !acc
 
 (* Clamp numerical noise and price unavailable channels prohibitively.  The
@@ -190,14 +187,8 @@ let price_state_update inst st ~y =
       let yu = y u j in
       if yu <> st.y_prev.(u).(j) then begin
         st.y_prev.(u).(j) <- yu;
-        for v = 0 to n - 1 do
-          if
-            v <> u
-            && Ordering.precedes pi v u
-            && (not st.dirty.(v).(j))
-            && Instance.wbar inst ~channel:j u v > 0.0
-          then st.dirty.(v).(j) <- true
-        done
+        Instance.iter_conflicts inst ~channel:j u (fun v _ ->
+            if Ordering.precedes pi v u then st.dirty.(v).(j) <- true)
       end
     done
   done;
@@ -254,16 +245,16 @@ let solve ?(max_rounds = 200) ?(eps = Sa_lp.Tol.feas_eps)
       let value = Valuation.value inst.Instance.bidders.(v) bundle in
       let var = Model.add_var m ~obj:value in
       Model.add_to_row m unit_row.(v) var 1.0;
-      (* The column appears in the interference row of every later vertex
-         for every channel it contains. *)
-      for v' = 0 to n - 1 do
-        if v' <> v && Ordering.precedes pi v v' then
-          Bundle.iter
-            (fun j ->
-              let w = Instance.wbar inst ~channel:j v v' in
-              if w > 0.0 then Model.add_to_row m intf_row.(v').(j) var w)
-            bundle
-      done;
+      (* The column appears in the interference row of every later
+         channel-j conflict neighbour, for every channel j it contains.
+         Each such row receives exactly one entry per column, so the row
+         lists do not depend on the order the rows are visited in. *)
+      Bundle.iter
+        (fun j ->
+          Instance.iter_conflicts inst ~channel:j v (fun v' w ->
+              if Ordering.precedes pi v v' then
+                Model.add_to_row m intf_row.(v').(j) var w))
+        bundle;
       columns := (v, bundle, var) :: !columns;
       Tel.incr m_columns;
       true

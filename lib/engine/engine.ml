@@ -495,12 +495,24 @@ let run_job_robust_impl t policy job =
         { lp_s = !lp_s_total; round_s; total_s = Timing.now () -. started };
     }
   in
-  match lp_tier 0 with
+  (* Intake: valuation arrays are mutable, so bids validated when the
+     instance was made may have been overwritten since (NaN, ±inf).  Such
+     a job is malformed at every tier: it is reported failed, not served. *)
+  let intake_ok =
+    match
+      Array.iter (fun b -> Valuation.validate b ~k:inst.Instance.k) inst.Instance.bidders
+    with
+    | () -> true
+    | exception e ->
+        record (Failure.of_exn ~stage:"engine.intake" e);
+        false
+  in
+  match if intake_ok then lp_tier 0 else None with
   | Some (frac, stats, alloc, round_s) ->
       finish ~alloc ~tier:(Some Tier_lp) ~guarantee:(Rounding.guarantee inst)
         ~lp_objective:frac.Lp.objective ~lp_iterations:stats.Lp.iterations
         ~warm_start:stats.Lp.warm_start_used ~round_s
-  | None when not policy.fallback ->
+  | None when (not intake_ok) || not policy.fallback ->
       Tel.incr m_failed;
       finish
         ~alloc:(Allocation.empty (Instance.n inst))

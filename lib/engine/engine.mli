@@ -196,7 +196,11 @@ val run_job : t -> job -> result
 val run_job_robust : t -> policy -> job -> result
 (** Solve one job under an explicit robustness policy.  The degradation
     chain guarantees a feasible allocation for every job unless
-    [policy.fallback] is false.  Fault-injection draws (when
+    [policy.fallback] is false.  A job whose bids no longer pass
+    {!Sa_val.Valuation.validate} (valuation arrays are mutable, so e.g. a
+    NaN or infinite bid written after {!Sa_core.Instance.make}) is not
+    served by any tier: its result is failed, with a single
+    [Malformed_job] failure.  Fault-injection draws (when
     [policy.faults] is set) are a pure function of [(seed, job.id,
     attempt)], never of the executing domain. *)
 

@@ -83,7 +83,7 @@ let mem_edge g u v =
 
 (* ---- frozen CSR form ----------------------------------------------------- *)
 
-let freeze g =
+let frozen g =
   match g.csr with
   | Some c -> c
   | None ->
@@ -115,16 +115,19 @@ let freeze g =
       g.csr <- Some c;
       c
 
+let freeze g = ignore (frozen g)
+let is_frozen g = g.csr <> None
+
 let iter_neighbors g v f =
   check_vertex g v;
-  let c = freeze g in
+  let c = frozen g in
   for i = c.offsets.(v) to c.offsets.(v + 1) - 1 do
     f c.targets.(i)
   done
 
 let fold_neighbors g v f acc =
   check_vertex g v;
-  let c = freeze g in
+  let c = frozen g in
   let acc = ref acc in
   for i = c.offsets.(v) to c.offsets.(v + 1) - 1 do
     acc := f !acc c.targets.(i)
@@ -133,7 +136,7 @@ let fold_neighbors g v f acc =
 
 let exists_neighbor g v p =
   check_vertex g v;
-  let c = freeze g in
+  let c = frozen g in
   let i = ref c.offsets.(v) in
   let hi = c.offsets.(v + 1) in
   let found = ref false in
@@ -166,7 +169,7 @@ let avg_degree g =
   if g.size = 0 then 0.0 else 2.0 *. float_of_int g.m /. float_of_int g.size
 
 let iter_edges g f =
-  let c = freeze g in
+  let c = frozen g in
   for u = 0 to g.size - 1 do
     for i = c.offsets.(u) to c.offsets.(u + 1) - 1 do
       let v = c.targets.(i) in

@@ -39,6 +39,15 @@ val mem_edge : t -> int -> int -> bool
 val neighbors : t -> int -> int list
 (** Sorted list of neighbours. *)
 
+val freeze : t -> unit
+(** Build the CSR form now rather than on first use.  The lazy build
+    publishes through a plain mutable field, so a graph read from several
+    domains at once should be frozen first (and not mutated afterwards);
+    [Sa_core.Instance.make] freezes every graph of its conflict. *)
+
+val is_frozen : t -> bool
+(** Whether the CSR form is built (and not invalidated by a mutation). *)
+
 val iter_neighbors : t -> int -> (int -> unit) -> unit
 (** Ascending neighbour iteration over the frozen CSR form — no per-call
     allocation, unlike {!neighbors}. *)

@@ -210,6 +210,41 @@ let iter_into t v f =
         f s.in_src.(i) s.in_w.(i)
       done
 
+(* Union of [v]'s out-row and in-column, ascending: a two-pointer merge
+   over the sparse arrays, a row/column scan for the dense matrix.  The
+   weight handed out is [w u v +. w v u] — bitwise what [wbar] returns for
+   the pair, since an absent sparse direction reads as 0.0 there and
+   [x +. 0.0 = x] for the positive stored weights. *)
+let iter_wbar t v f =
+  check_vertex t v;
+  match t with
+  | Dense d ->
+      let row = d.weights.(v) in
+      for u = 0 to d.dsize - 1 do
+        let into = d.weights.(u).(v) and out = row.(u) in
+        if u <> v && (into > 0.0 || out > 0.0) then f u (into +. out)
+      done
+  | Sparse s ->
+      let i = ref s.in_off.(v) and i_end = s.in_off.(v + 1) in
+      let o = ref s.out_off.(v) and o_end = s.out_off.(v + 1) in
+      while !i < i_end || !o < o_end do
+        let ui = if !i < i_end then s.in_src.(!i) else max_int in
+        let uo = if !o < o_end then s.out_tgt.(!o) else max_int in
+        if ui = uo then begin
+          f ui (s.in_w.(!i) +. s.out_w.(!o));
+          incr i;
+          incr o
+        end
+        else if ui < uo then begin
+          f ui s.in_w.(!i);
+          incr i
+        end
+        else begin
+          f uo s.out_w.(!o);
+          incr o
+        end
+      done
+
 let in_weight t v =
   let acc = ref 0.0 in
   iter_into t v (fun _ x -> acc := !acc +. x);

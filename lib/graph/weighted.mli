@@ -77,6 +77,12 @@ val iter_into : t -> int -> (int -> float -> unit) -> unit
 (** [iter_into t v f] calls [f u (w u v)] for every stored positive
     in-entry of [v], ascending in [u]. *)
 
+val iter_wbar : t -> int -> (int -> float -> unit) -> unit
+(** [iter_wbar t v f] calls [f u (wbar t u v)] once for every [u ≠ v]
+    with a stored positive weight in either direction — the union of
+    {!iter_out} and {!iter_into}, deduplicated, ascending in [u].  The
+    weight is bitwise equal to {!wbar}'s. *)
+
 val in_weight : t -> int -> float
 (** Total stored in-weight [Σ_u w u v] (true row sum is within
     [dropped_in_bound t v] above this). *)

@@ -2,25 +2,39 @@ type var = int
 type row = int
 
 type row_data = {
-  mutable coeffs : (var * float) list;
+  mutable coeffs : (var * float) list; (* newest entry first *)
   relation : Simplex.relation;
   rhs : float;
 }
 
+(* Variables and rows live in capacity-doubling arrays (the first [nvars] /
+   [nrows] slots are live), so [add_to_row] reaches its row in O(1). *)
 type t = {
   direction : Simplex.direction;
-  mutable objs : float list; (* reversed *)
+  mutable objs : float array;
   mutable nvars : int;
-  mutable rows : row_data list; (* reversed *)
+  mutable rows : row_data array;
   mutable nrows : int;
 }
 
-let create direction = { direction; objs = []; nvars = 0; rows = []; nrows = 0 }
+let no_row = { coeffs = []; relation = Simplex.Le; rhs = 0.0 }
+
+let create direction =
+  { direction; objs = [||]; nvars = 0; rows = [||]; nrows = 0 }
+
+let grown a len fill =
+  if len < Array.length a then a
+  else begin
+    let b = Array.make (max 16 (2 * Array.length a)) fill in
+    Array.blit a 0 b 0 len;
+    b
+  end
 
 let add_var t ~obj =
   let v = t.nvars in
-  t.objs <- obj :: t.objs;
-  t.nvars <- t.nvars + 1;
+  t.objs <- grown t.objs v 0.0;
+  t.objs.(v) <- obj;
+  t.nvars <- v + 1;
   v
 
 let check_var t v =
@@ -29,16 +43,15 @@ let check_var t v =
 let add_row t coeffs relation rhs =
   List.iter (fun (v, _) -> check_var t v) coeffs;
   let r = t.nrows in
-  t.rows <- { coeffs; relation; rhs } :: t.rows;
-  t.nrows <- t.nrows + 1;
+  t.rows <- grown t.rows r no_row;
+  t.rows.(r) <- { coeffs; relation; rhs };
+  t.nrows <- r + 1;
   r
 
 let add_to_row t r v coeff =
   check_var t v;
   if r < 0 || r >= t.nrows then invalid_arg "Model.add_to_row: row out of range";
-  (* rows are stored reversed *)
-  let idx = t.nrows - 1 - r in
-  let data = List.nth t.rows idx in
+  let data = t.rows.(r) in
   data.coeffs <- (v, coeff) :: data.coeffs
 
 let num_vars t = t.nvars
@@ -62,13 +75,13 @@ type warm_solution = {
 }
 
 let to_problem t =
-  let c = Array.of_list (List.rev t.objs) in
+  let c = Array.sub t.objs 0 t.nvars in
   let dense_row data =
     let a = Array.make t.nvars 0.0 in
     List.iter (fun (v, coeff) -> a.(v) <- a.(v) +. coeff) data.coeffs;
     (a, data.relation, data.rhs)
   in
-  let rows = Array.of_list (List.rev_map dense_row t.rows) in
+  let rows = Array.init t.nrows (fun i -> dense_row t.rows.(i)) in
   { Simplex.direction = t.direction; c; rows }
 
 (* Workspace slot assignments (slots 16..23 of each typed pool belong to
@@ -99,16 +112,15 @@ end
 let to_spec ws t =
   let nvars = t.nvars in
   let m = t.nrows in
-  let rows_arr = Array.of_list (List.rev t.rows) in
+  let rows_arr = t.rows in
   let c = Workspace.floats ws ~slot:Slot.obj nvars in
-  List.iteri (fun k obj -> c.(nvars - 1 - k) <- obj) t.objs;
+  Array.blit t.objs 0 c 0 nvars;
   let rel = Array.make m Simplex.Le in
   let rhs = Workspace.floats ws ~slot:Slot.rhs m in
-  Array.iteri
-    (fun i rd ->
-      rel.(i) <- rd.relation;
-      rhs.(i) <- rd.rhs)
-    rows_arr;
+  for i = 0 to m - 1 do
+    rel.(i) <- rows_arr.(i).relation;
+    rhs.(i) <- rows_arr.(i).rhs
+  done;
   let stamp = Workspace.ints ws ~slot:Slot.stamp nvars in
   Array.fill stamp 0 nvars (-1);
   let acc = Workspace.floats ws ~slot:Slot.acc nvars in

@@ -20,11 +20,19 @@ val add_row : t -> (var * float) list -> Simplex.relation -> float -> row
     in [coeffs] are summed. *)
 
 val add_to_row : t -> row -> var -> float -> unit
-(** Add [coeff] to the entry of [var] in an existing row — lets column
-    generation extend previously created constraints with new variables. *)
+(** Add [coeff] to the entry of [var] in an existing row, in O(1) — lets
+    column generation extend previously created constraints with new
+    variables. *)
 
 val num_vars : t -> int
 val num_rows : t -> int
+
+val to_spec : Workspace.t -> t -> Revised.spec
+(** The sparse column-major statement {!solve_with_basis} hands to
+    {!Revised}: duplicate (row, var) entries pre-summed from [0.0], zero
+    sums dropped, each column's rows ascending.  Its
+    arrays are the workspace's {!Model} slots, so they stay valid only
+    until the next [to_spec] on the same workspace. *)
 
 type solution = {
   status : Simplex.status;

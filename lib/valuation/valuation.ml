@@ -63,42 +63,48 @@ let best_packing_set bids ~weight ~eligible =
 
 let validate t ~k =
   if k < 0 || k > Bundle.max_channels then invalid_arg "Valuation.validate: bad k";
+  (* NaN slips past [v < 0.0]; an infinite bid makes the LP unbounded *)
+  let check_finite what v =
+    if not (Float.is_finite v) then
+      invalid_arg (Printf.sprintf "Valuation.validate: non-finite %s" what)
+  in
+  let check_value v =
+    check_finite "value" v;
+    if v < 0.0 then invalid_arg "Valuation.validate: negative value"
+  in
   let check_channel_array name a =
     if Array.length a <> k then
       invalid_arg (Printf.sprintf "Valuation.validate: %s needs length k" name);
-    Array.iter (fun v -> if v < 0.0 then invalid_arg "Valuation.validate: negative value") a
+    Array.iter check_value a
+  in
+  let check_bids bids =
+    List.iter
+      (fun (b, v) ->
+        check_finite "bid value" v;
+        if v < 0.0 then invalid_arg "Valuation.validate: negative bid value";
+        if not (Bundle.subset b (Bundle.full k)) then
+          invalid_arg "Valuation.validate: bid uses channel >= k";
+        if Bundle.is_empty b && v > 0.0 then
+          invalid_arg "Valuation.validate: positive value on empty bundle")
+      bids
   in
   match t with
-  | Xor bids ->
-      List.iter
-        (fun (b, v) ->
-          if v < 0.0 then invalid_arg "Valuation.validate: negative bid value";
-          if not (Bundle.subset b (Bundle.full k)) then
-            invalid_arg "Valuation.validate: bid uses channel >= k";
-          if Bundle.is_empty b && v > 0.0 then
-            invalid_arg "Valuation.validate: positive value on empty bundle")
-        bids
+  | Xor bids -> check_bids bids
   | Additive values -> check_channel_array "Additive" values
   | Unit_demand values -> check_channel_array "Unit_demand" values
   | Symmetric f ->
       if Array.length f <> k + 1 then
         invalid_arg "Valuation.validate: Symmetric needs length k+1";
       if f.(0) <> 0.0 then invalid_arg "Valuation.validate: Symmetric f(0) must be 0";
-      Array.iter (fun v -> if v < 0.0 then invalid_arg "Valuation.validate: negative value") f
+      Array.iter check_value f
   | Budget_additive { values; budget } ->
       check_channel_array "Budget_additive" values;
+      check_finite "budget" budget;
       if budget < 0.0 then invalid_arg "Valuation.validate: negative budget"
   | Or_bids bids ->
       if List.length bids > 20 then
         invalid_arg "Valuation.validate: Or_bids limited to 20 atomic bids";
-      List.iter
-        (fun (b, v) ->
-          if v < 0.0 then invalid_arg "Valuation.validate: negative bid value";
-          if not (Bundle.subset b (Bundle.full k)) then
-            invalid_arg "Valuation.validate: bid uses channel >= k";
-          if Bundle.is_empty b && v > 0.0 then
-            invalid_arg "Valuation.validate: positive value on empty bundle")
-        bids
+      check_bids bids
 
 let value t bundle =
   match t with

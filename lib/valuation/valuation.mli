@@ -33,8 +33,9 @@ type t =
 
 val validate : t -> k:int -> unit
 (** Raises [Invalid_argument] if the representation is malformed for [k]
-    channels: negative values, bids outside [\[k\]], [Symmetric] arrays of
-    wrong length or non-zero [f.(0)]. *)
+    channels: negative or non-finite (NaN, ±∞) values or budgets, bids
+    outside [\[k\]], [Symmetric] arrays of wrong length or non-zero
+    [f.(0)]. *)
 
 val value : t -> Bundle.t -> float
 (** Valuation of exactly [bundle]; always [≥ 0], and [0] on the empty

@@ -319,6 +319,38 @@ let test_summary_json_resilience_fields () =
     [ "served_lp"; "served_greedy"; "served_online"; "failed"; "retries";
       "deadline_hits" ]
 
+(* ---------- non-finite bids ----------------------------------------------- *)
+
+(* [Instance.make] rejects NaN and infinite bids, but channel-value arrays
+   stay mutable; a bid overwritten afterwards must be caught at intake, as
+   a malformed job that no tier serves. *)
+let test_non_finite_bid_malformed () =
+  List.iter
+    (fun x ->
+      let values = Array.init 6 (fun _ -> [| 1.0; 2.0 |]) in
+      let graph = Sa_graph.Graph.of_edges 6 [ (0, 1); (1, 2); (3, 4) ] in
+      let inst =
+        Instance.make ~conflict:(Instance.Unweighted graph) ~k:2
+          ~bidders:(Array.map (fun a -> Sa_val.Valuation.Additive a) values)
+          ~ordering:(Sa_graph.Ordering.identity 6) ~rho:1.0
+      in
+      values.(2).(1) <- x;
+      let engine = Engine.create ~warm_start:false () in
+      let results, summary =
+        Engine.run_batch engine [ Engine.job ~seed:1 ~id:0 inst ]
+      in
+      let r = results.(0) in
+      Alcotest.(check bool) "not served" true (r.Engine.tier = None);
+      Alcotest.(check int) "summary failed" 1 summary.Engine.failed;
+      Alcotest.(check (float 0.0)) "empty allocation" 0.0 r.Engine.welfare;
+      match r.Engine.failures with
+      | [ (Failure.Malformed_job _ as f) ] ->
+          Alcotest.(check string) "label" "malformed-job" (Failure.label f)
+      | fs ->
+          Alcotest.failf "bid %h: expected one malformed-job, got [%s]" x
+            (String.concat "; " (List.map Failure.to_string fs)))
+    [ Float.nan; Float.infinity; Float.neg_infinity ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_feasible_under_faults;
@@ -347,4 +379,6 @@ let suite =
       test_injected_failures_shape;
     Alcotest.test_case "summary JSON resilience fields" `Quick
       test_summary_json_resilience_fields;
+      Alcotest.test_case "non-finite bid is a malformed job, not served" `Quick
+      test_non_finite_bid_malformed;
   ]

@@ -70,6 +70,39 @@ let test_validate () =
     (Invalid_argument "Valuation.validate: Symmetric f(0) must be 0") (fun () ->
       Valuation.validate (Valuation.Symmetric [| 1.0; 2.0; 3.0 |]) ~k:2)
 
+(* NaN passes a [v < 0.0] test and an infinite bid makes the LP objective
+   infinite: every variant must reject all three non-finite values. *)
+let non_finite = [ Float.nan; Float.infinity; Float.neg_infinity ]
+
+let check_rejects name make =
+  List.iter
+    (fun x ->
+      match Valuation.validate (make x) ~k:2 with
+      | () -> Alcotest.failf "%s: %h accepted" name x
+      | exception Invalid_argument _ -> ())
+    non_finite
+
+let b0 = Bundle.singleton 0
+
+let test_non_finite_xor () =
+  check_rejects "Xor" (fun x -> Valuation.Xor [ (b0, 1.0); (Bundle.full 2, x) ])
+
+let test_non_finite_or () =
+  check_rejects "Or_bids" (fun x -> Valuation.Or_bids [ (b0, x) ])
+
+let test_non_finite_channel_arrays () =
+  check_rejects "Additive" (fun x -> Valuation.Additive [| 1.0; x |]);
+  check_rejects "Unit_demand" (fun x -> Valuation.Unit_demand [| x; 1.0 |])
+
+let test_non_finite_symmetric () =
+  check_rejects "Symmetric" (fun x -> Valuation.Symmetric [| 0.0; 1.0; x |])
+
+let test_non_finite_budget_additive () =
+  check_rejects "Budget_additive values" (fun x ->
+      Valuation.Budget_additive { values = [| x; 1.0 |]; budget = 2.0 });
+  check_rejects "Budget_additive budget" (fun x ->
+      Valuation.Budget_additive { values = [| 1.0; 1.0 |]; budget = x })
+
 (* ---------- Demand oracles: exactness vs brute force ---------------------- *)
 
 let brute_force_demand v ~k ~prices =
@@ -250,4 +283,12 @@ let suite =
     Alcotest.test_case "scaling" `Quick test_scale;
     QCheck_alcotest.to_alcotest prop_demand_dominates_any_bundle;
     QCheck_alcotest.to_alcotest prop_value_nonneg;
+    Alcotest.test_case "non-finite XOR bids rejected" `Quick test_non_finite_xor;
+    Alcotest.test_case "non-finite OR bids rejected" `Quick test_non_finite_or;
+    Alcotest.test_case "non-finite channel values rejected" `Quick
+      test_non_finite_channel_arrays;
+    Alcotest.test_case "non-finite symmetric values rejected" `Quick
+      test_non_finite_symmetric;
+    Alcotest.test_case "non-finite budget-additive rejected" `Quick
+      test_non_finite_budget_additive;
   ]
