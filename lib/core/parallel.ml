@@ -34,27 +34,17 @@ let derand1 ?(domains = default_domains) inst frac =
       invalid_arg "Parallel.derand1: unweighted instances only");
   if domains < 1 then invalid_arg "Parallel.derand1: domains must be >= 1";
   let p = Derand.prime in
-  let n = Instance.n inst in
-  let k = float_of_int inst.Instance.k in
-  let scale_down = 2.0 *. sqrt k *. inst.Instance.rho in
-  let scan_range (a_lo, a_hi) =
-    let best = ref (Allocation.empty n) in
-    for a = a_lo to a_hi - 1 do
-      for b = 0 to p - 1 do
-        let uniforms =
-          Array.init n (fun v -> float_of_int (((a * v) + b) mod p) /. float_of_int p)
-        in
-        let alloc = Rounding.round_with_uniforms inst frac ~scale_down ~uniforms in
-        best := better inst !best alloc
-      done
-    done;
-    !best
+  let plan = Derand.plan inst frac in
+  let chunk = (p + domains - 1) / domains in
+  let ranges = Array.init domains (fun d -> (min p (d * chunk), min p ((d + 1) * chunk))) in
+  let results =
+    Fanout.map_array ~domains (fun (a_lo, a_hi) -> Derand.scan plan ~a_lo ~a_hi) ranges
   in
-  if domains = 1 then scan_range (0, p)
-  else begin
-    let chunk = (p + domains - 1) / domains in
-    let ranges =
-      Array.init domains (fun d -> (d * chunk, min p ((d + 1) * chunk)))
-    in
-    reduce_best inst (Fanout.map_array ~domains scan_range ranges)
-  end
+  (* the earliest range wins ties, as the sequential scan's incumbent does *)
+  let best, _ =
+    Array.fold_left
+      (fun ((_, best_value) as best) ((_, value) as r) ->
+        if best_value >= value then best else r)
+      results.(0) results
+  in
+  best

@@ -5,8 +5,7 @@
     best-of-R randomized rounding (independent trials) and the
     derandomization's seed-family enumeration (independent seeds).  Both
     are provided here with deterministic results: the parallel
-    derandomization returns an allocation of exactly the same value as the
-    sequential scan, and parallel rounding with [domains·trials_per_domain]
+    derandomization returns exactly the sequential scan's allocation, and parallel rounding with [domains·trials_per_domain]
     trials follows the same distribution as the sequential best-of-R.
 
     Speedup tracks the machine's core count
@@ -39,6 +38,7 @@ val solve_rounding :
 
 val derand1 :
   ?domains:int -> Instance.t -> Lp_relaxation.fractional -> Allocation.t
-(** Parallel {!Derand.algorithm1_derand}: partitions the [p²] seed family
-    across domains.  Same welfare as the sequential version (ties may pick
-    a different witness). *)
+(** Parallel {!Derand.algorithm1_derand}: one {!Derand.plan}, its [p²]
+    seed family scanned as [domains] contiguous ranges of [a] and reduced
+    first-wins in range order — the same allocation as the sequential
+    version at every domain count. *)

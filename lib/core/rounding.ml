@@ -395,10 +395,9 @@ let solve_par ?(domains = Fanout.default_domains) ?chunk ?(trials = 8) ~seed ins
   done;
   !best
 
-(* Deterministic rounding pass from explicit per-bidder uniforms (used by
-   the pairwise-independence derandomization in [Derand]).  The bidder's
-   bundle is picked by inverse-CDF over its columns scaled by
-   [1/scale_down]. *)
+(* Deterministic rounding pass from explicit per-bidder uniforms; [Derand]
+   tabulates this very pass per residue, bit for bit.  The bidder's bundle
+   is picked by inverse-CDF over its columns scaled by [1/scale_down]. *)
 let tentative_from_uniforms ~scale_down per_bidder uniforms =
   Array.mapi
     (fun v cols ->

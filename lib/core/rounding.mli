@@ -119,8 +119,9 @@ val round_with_uniforms :
     in which case entries past [n - 1] are ignored.  Applies the resolution stage matching the conflict structure:
     the output is feasible for unweighted/per-channel instances and partly
     feasible (Condition (5)) for edge-weighted ones — feed it to
-    {!algorithm3}.  This is the randomness interface the pairwise-
-    independence derandomization ({!Derand}) drives. *)
+    {!algorithm3}.  The pairwise-independence derandomization ({!Derand})
+    tabulates exactly this pass per residue; a full pass per seed is the
+    reference its tests compare against. *)
 
 val solve_adaptive :
   ?trials:int ->

@@ -109,7 +109,12 @@ let instance_to_string inst =
 
 type reader = { lines : string array; mutable pos : int }
 
-let fail r msg = failwith (Printf.sprintf "Serialize: line %d: %s" (r.pos + 1) msg)
+(* [r.pos] is one past the line just read, i.e. its 1-based number. *)
+let fail r msg = failwith (Printf.sprintf "Serialize: line %d: %s" (max 1 r.pos) msg)
+
+(* Constructors reject bad data with [Invalid_argument]; the parser's
+   contract is a line-numbered [Failure]. *)
+let guard r f = try f () with Invalid_argument msg -> fail r msg
 
 let next_line r =
   let rec go () =
@@ -133,13 +138,27 @@ let int_of r s =
 let float_of r s =
   match float_of_string_opt s with Some v -> v | None -> fail r ("bad float: " ^ s)
 
+(* A declared count of following lines, checked before anything is
+   allocated for it. *)
+let count_of r s =
+  let c = int_of r s in
+  if c < 0 || c > Array.length r.lines - r.pos then fail r ("bad count: " ^ s);
+  c
+
+let index_of r s ~n =
+  let v = int_of r s in
+  if v < 0 || v >= n then fail r ("index out of range: " ^ s);
+  v
+
+let bundle_of r s = guard r (fun () -> Bundle.of_int (int_of r s))
+
 let read_graph r n =
   let g = Graph.create n in
   let rec go () =
     match words (expect_line r) with
     | [ "end" ] -> g
     | [ "edge"; u; v ] ->
-        Graph.add_edge g (int_of r u) (int_of r v);
+        guard r (fun () -> Graph.add_edge g (int_of r u) (int_of r v));
         go ()
     | _ -> fail r "expected 'edge u v' or 'end'"
   in
@@ -151,7 +170,7 @@ let read_weighted r n =
     match words (expect_line r) with
     | [ "end" ] -> wg
     | [ "w"; u; v; x ] ->
-        Weighted.set wg (int_of r u) (int_of r v) (float_of r x);
+        guard r (fun () -> Weighted.set wg (int_of r u) (int_of r v) (float_of r x));
         go ()
     | _ -> fail r "expected 'w u v x' or 'end'"
   in
@@ -167,51 +186,43 @@ let read_bidders r n k first_line =
   let bidders = Array.make n (Valuation.Xor []) in
   let masks = ref [] in
   let parse_floats rest = Array.of_list (List.map (float_of r) rest) in
+  let set v valuation =
+    guard r (fun () -> Valuation.validate valuation ~k);
+    bidders.(v) <- valuation
+  in
+  let read_bids count =
+    List.init (count_of r count) (fun _ ->
+        match words (expect_line r) with
+        | [ "bid"; mask; value ] -> (bundle_of r mask, float_of r value)
+        | _ -> fail r "expected 'bid mask value'")
+  in
   let rec go line =
     match words line with
     | [ "end" ] -> ()
     | [ "available"; v; mask ] ->
-        let v = int_of r v in
-        if v < 0 || v >= n then fail r "availability index out of range";
-        masks := (v, Bundle.of_int (int_of r mask)) :: !masks;
+        masks := (index_of r v ~n, bundle_of r mask) :: !masks;
         go (expect_line r)
     | "bidder" :: v :: "xor" :: [ count ] ->
-        let v = int_of r v and count = int_of r count in
-        if v < 0 || v >= n then fail r "bidder index out of range";
-        let bids =
-          List.init count (fun _ ->
-              match words (expect_line r) with
-              | [ "bid"; mask; value ] ->
-                  (Bundle.of_int (int_of r mask), float_of r value)
-              | _ -> fail r "expected 'bid mask value'")
-        in
-        bidders.(v) <- Valuation.Xor bids;
+        let v = index_of r v ~n in
+        set v (Valuation.Xor (read_bids count));
         go (expect_line r)
     | "bidder" :: v :: "additive" :: rest ->
-        bidders.(int_of r v) <- Valuation.Additive (parse_floats rest);
+        set (index_of r v ~n) (Valuation.Additive (parse_floats rest));
         go (expect_line r)
     | "bidder" :: v :: "unit-demand" :: rest ->
-        bidders.(int_of r v) <- Valuation.Unit_demand (parse_floats rest);
+        set (index_of r v ~n) (Valuation.Unit_demand (parse_floats rest));
         go (expect_line r)
     | "bidder" :: v :: "symmetric" :: rest ->
-        bidders.(int_of r v) <- Valuation.Symmetric (parse_floats rest);
+        set (index_of r v ~n) (Valuation.Symmetric (parse_floats rest));
         go (expect_line r)
     | "bidder" :: v :: "budget-additive" :: budget :: rest ->
-        bidders.(int_of r v) <-
-          Valuation.Budget_additive
-            { values = parse_floats rest; budget = float_of r budget };
+        set (index_of r v ~n)
+          (Valuation.Budget_additive
+             { values = parse_floats rest; budget = float_of r budget });
         go (expect_line r)
     | "bidder" :: v :: "or" :: [ count ] ->
-        let v = int_of r v and count = int_of r count in
-        if v < 0 || v >= n then fail r "bidder index out of range";
-        let bids =
-          List.init count (fun _ ->
-              match words (expect_line r) with
-              | [ "bid"; mask; value ] ->
-                  (Bundle.of_int (int_of r mask), float_of r value)
-              | _ -> fail r "expected 'bid mask value'")
-        in
-        bidders.(v) <- Valuation.Or_bids bids;
+        let v = index_of r v ~n in
+        set v (Valuation.Or_bids (read_bids count));
         go (expect_line r)
     | _ -> fail r "expected a bidder declaration or 'end'"
   in
@@ -236,10 +247,15 @@ let instance_of_string s =
     | [ "n"; n; "k"; k; "rho"; rho ] -> (int_of r n, int_of r k, float_of r rho)
     | _ -> fail r "expected 'n <n> k <k> rho <rho>'"
   in
+  if n < 0 then fail r "negative n";
+  if k < 1 || k > Bundle.max_channels then fail r "k out of range";
+  (* the ordering lists all n vertices, so it bounds n before any n-sized
+     structure is allocated *)
   let ordering =
     match words (expect_line r) with
     | "ordering" :: rest ->
-        Ordering.of_order (Array.of_list (List.map (int_of r) rest))
+        if List.length rest <> n then fail r "ordering must list n vertices";
+        guard r (fun () -> Ordering.of_order (Array.of_list (List.map (int_of r) rest)))
     | _ -> fail r "expected 'ordering ...'"
   in
   let conflict =
@@ -253,10 +269,11 @@ let instance_of_string s =
     | _ -> fail r "expected a conflict section"
   in
   let bidders, available = read_bidders r n k (expect_line r) in
-  let inst = Instance.make ~conflict ~k ~bidders ~ordering ~rho in
-  match available with
-  | None -> inst
-  | Some masks -> Instance.with_available inst masks
+  guard r (fun () ->
+      let inst = Instance.make ~conflict ~k ~bidders ~ordering ~rho in
+      match available with
+      | None -> inst
+      | Some masks -> Instance.with_available inst masks)
 
 (* ------------------------------ allocations ----------------------------- *)
 
@@ -282,14 +299,16 @@ let allocation_of_string s =
     | [ "n"; n ] -> int_of r n
     | _ -> fail r "expected 'n <n>'"
   in
+  (* the format lists only non-empty bundles, so n is not bounded by the
+     input; it must still be a valid array length *)
+  if n < 0 || n > Sys.max_array_length then fail r "n out of range";
   let alloc = Allocation.empty n in
   let rec go () =
     match words (expect_line r) with
     | [ "end" ] -> alloc
     | [ "alloc"; v; mask ] ->
-        let v = int_of r v in
-        if v < 0 || v >= n then fail r "bidder index out of range";
-        alloc.(v) <- Bundle.of_int (int_of r mask);
+        let v = index_of r v ~n in
+        alloc.(v) <- bundle_of r mask;
         go ()
     | _ -> fail r "expected 'alloc v mask' or 'end'"
   in

@@ -26,12 +26,17 @@
 val instance_to_string : Instance.t -> string
 
 val instance_of_string : string -> Instance.t
-(** Raises [Failure] with a line-numbered message on malformed input. *)
+(** Raises [Failure] with a line-numbered message on malformed input —
+    and only [Failure]: validation errors of the constructors are reported
+    the same way, and every declared size ([n], [k], bid counts) is checked
+    against the input before anything is allocated for it. *)
 
 val allocation_to_string : Allocation.t -> string
 
 val allocation_of_string : string -> Allocation.t
-(** Raises [Failure] on malformed input. *)
+(** Raises [Failure] with a line-numbered message on malformed input, and
+    only [Failure].  Only non-empty bundles are listed, so [n] is not
+    bounded by the input; it must lie in [\[0, Sys.max_array_length\]]. *)
 
 val fingerprint : Instance.t -> string
 (** Hex digest of the full serialised instance — two instances share a

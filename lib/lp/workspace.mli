@@ -14,7 +14,8 @@
     - slots [0..15]: {!Revised} (solver core)
     - slots [16..23]: {!Model} (sparse problem staging)
     - slots [24..31]: [Sa_core.Rounding] trial buffers
-    - slots [32..39]: [Sa_core.Derand] candidate buffers
+    - slots [32..39]: [Sa_core.Derand] plan tables (picks, values,
+      conflict CSR)
     - slots [40..47]: {!Presolve} (reduction scratch and the reduced spec)
 
     A client may hold its slots only within one self-contained computation

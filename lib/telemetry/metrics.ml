@@ -222,7 +222,7 @@ let counter_descriptions =
       "Pooled columns accepted into a restricted master after re-verification" );
     ("core.rounding.trials", "Randomized rounding trials evaluated");
     ("core.rounding.improvements", "Rounding trials that improved the incumbent");
-    ("core.derand.candidates", "Conditional-expectation candidates scored");
+    ("core.derand.candidates", "Pairwise-independent seeds scored by the derandomization");
     ("graph.rho.estimates", "Inductive-independence rho estimations");
     ("geom.grid.cells_scanned", "Spatial-grid cells visited by queries");
     ("geom.grid.candidates", "Spatial-grid candidate points produced");
@@ -270,6 +270,7 @@ let histogram_descriptions =
   [
     ("lp.revised.solve.seconds", "Wall time of revised simplex solves");
     ("core.colgen.solve.seconds", "Wall time of column-generation solves");
+    ("core.derand.solve.seconds", "Wall time of seed-family derandomization solves");
     ("graph.rho.seconds", "Wall time of rho estimations");
     ("engine.job.lp.seconds", "Wall time of the LP phase per job");
     ("engine.job.round.seconds", "Wall time of the rounding phase per job");

@@ -39,10 +39,13 @@ let test_parallel_derand_matches_sequential () =
   List.iter
     (fun domains ->
       let par = Parallel.derand1 ~domains inst frac in
-      Alcotest.(check (float 1e-9))
-        (Printf.sprintf "%d domains = sequential value" domains)
-        (Allocation.value inst seq)
-        (Allocation.value inst par);
+      Alcotest.(check bool)
+        (Printf.sprintf "%d domains = sequential allocation" domains)
+        true (par = seq);
+      Alcotest.(check int64)
+        (Printf.sprintf "%d domains = sequential welfare bits" domains)
+        (Int64.bits_of_float (Allocation.value inst seq))
+        (Int64.bits_of_float (Allocation.value inst par));
       Alcotest.(check bool) "feasible" true (Allocation.is_feasible inst par))
     [ 1; 2; 3 ]
 

@@ -89,7 +89,11 @@ let prop_parallel_derand_equals_sequential =
       let par = Parallel.derand1 ~domains inst frac in
       if not (Allocation.is_feasible inst par) then
         QCheck.Test.fail_reportf "parallel derand infeasible (seed %d)" seed;
-      Floats.approx_eq ~eps:1e-9 (Allocation.value inst seq) (Allocation.value inst par))
+      (* not only the welfare: the very allocation the sequential scan picks *)
+      par = seq
+      && Int64.equal
+           (Int64.bits_of_float (Allocation.value inst par))
+           (Int64.bits_of_float (Allocation.value inst seq)))
 
 (* ---------- engine determinism under sharding ---------------------------- *)
 

@@ -135,6 +135,128 @@ let prop_roundtrip_random =
       let inst = Workloads.protocol_instance ~seed ~n:10 ~k:2 () in
       instances_equal inst (roundtrip inst))
 
+(* ---------- mutation fuzz: only the documented [Failure] ------------------ *)
+
+(* Serialised fixtures covering every section of each format: unweighted,
+   SINR (edge-weighted) and asymmetric (per-channel) instances with mixed
+   bidding languages and availability masks, an allocation, a workload. *)
+let fuzz_instances =
+  lazy
+    (let g = Prng.create ~seed:5 in
+     let mixed inst =
+       let k = inst.Instance.k in
+       let bidders =
+         Array.map
+           (fun _ -> Sa_val.Gen.random_mixed g ~k ~dist:(Sa_val.Gen.Uniform (1.0, 5.0)))
+           inst.Instance.bidders
+       in
+       let remade =
+         Instance.make ~conflict:inst.Instance.conflict ~k ~bidders
+           ~ordering:inst.Instance.ordering ~rho:inst.Instance.rho
+       in
+       Instance.with_available remade
+         (Array.init (Instance.n inst) (fun _ -> Bundle.of_int (Prng.int g (1 lsl k))))
+     in
+     [|
+       Workloads.protocol_instance ~seed:3 ~n:8 ~k:3 ();
+       mixed (Workloads.protocol_instance ~seed:4 ~n:6 ~k:2 ());
+       fst (Workloads.sinr_fixed_instance ~seed:5 ~n:6 ~k:2 ~scheme:Sa_wireless.Sinr.Uniform ());
+       mixed (Workloads.asymmetric_instance ~seed:6 ~n:6 ~k:3 ~d:2);
+     |]
+     |> Array.map Serialize.instance_to_string)
+
+let fuzz_allocation =
+  lazy
+    (let alloc = Allocation.empty 12 in
+     alloc.(2) <- Bundle.of_list [ 0; 1 ];
+     alloc.(7) <- Bundle.of_list [ 2 ];
+     alloc.(11) <- Bundle.of_list [ 0; 3 ];
+     Serialize.allocation_to_string alloc)
+
+(* 1-3 byte edits (overwrite, insert or delete), biased towards the bytes
+   that turn one well-formed number or line into another. *)
+let mutate g text =
+  let interesting = "0123456789- \n" in
+  let byte () =
+    if Prng.bool g then interesting.[Prng.int g (String.length interesting)]
+    else Char.chr (Prng.int g 256)
+  in
+  let b = Buffer.create (String.length text + 3) in
+  Buffer.add_string b text;
+  for _ = 1 to 1 + Prng.int g 3 do
+    let s = Buffer.contents b in
+    let len = String.length s in
+    let i = Prng.int g (max 1 len) in
+    Buffer.clear b;
+    match Prng.int g 3 with
+    | 0 when len > 0 ->
+        Buffer.add_string b (String.sub s 0 i);
+        Buffer.add_char b (byte ());
+        Buffer.add_string b (String.sub s (i + 1) (len - i - 1))
+    | 1 ->
+        Buffer.add_string b (String.sub s 0 i);
+        Buffer.add_char b (byte ());
+        Buffer.add_string b (String.sub s i (len - i))
+    | _ when len > 0 ->
+        Buffer.add_string b (String.sub s 0 i);
+        Buffer.add_string b (String.sub s (i + 1) (len - i - 1))
+    | _ -> Buffer.add_string b s
+  done;
+  Buffer.contents b
+
+(* [fixture seed] picks the text to mutate, [parse] reads it. *)
+let only_failure ~what ~fixture ~parse =
+  QCheck.Test.make ~name:(Printf.sprintf "%s parser: byte mutations raise only Failure" what)
+    ~count:1500
+    QCheck.(int_range 0 max_int)
+    (fun seed ->
+      let text = mutate (Prng.create ~seed) (fixture seed) in
+      match parse text with
+      | () -> true
+      | exception Failure _ -> true
+      | exception e ->
+          QCheck.Test.fail_reportf "raised %s on:\n%s" (Printexc.to_string e) text)
+
+let prop_instance_mutations =
+  only_failure ~what:"instance"
+    ~fixture:(fun seed ->
+      let fixtures = Lazy.force fuzz_instances in
+      fixtures.(seed mod Array.length fixtures))
+    ~parse:(fun t -> ignore (Serialize.instance_of_string t))
+
+let prop_allocation_mutations =
+  only_failure ~what:"allocation"
+    ~fixture:(fun _ -> Lazy.force fuzz_allocation)
+    ~parse:(fun t -> ignore (Serialize.allocation_of_string t))
+
+let prop_workload_mutations =
+  only_failure ~what:"workload"
+    ~fixture:(fun _ -> Sa_engine.Workload.to_string Sa_engine.Workload.demo)
+    ~parse:(fun t -> ignore (Sa_engine.Workload.of_string t))
+
+let test_sizes_checked_before_allocation () =
+  let check_fails name s =
+    match Serialize.instance_of_string s with
+    | exception Failure _ -> ()
+    | _ -> Alcotest.failf "%s: accepted" name
+  in
+  let head = "specauction-instance 1\n" in
+  check_fails "negative n" (head ^ "n -3 k 1 rho 1\nordering\n");
+  check_fails "n beyond the ordering" (head ^ "n 4000000000000 k 1 rho 1\nordering 0\n");
+  check_fails "k out of range" (head ^ "n 1 k 99 rho 1\nordering 0\n");
+  check_fails "bid count beyond the input"
+    (head ^ "n 1 k 1 rho 1\nordering 0\nconflict unweighted\nend\nbidder 0 xor 4000000000000\n");
+  (match Serialize.allocation_of_string "specauction-allocation 1\nn -2\nend\n" with
+  | exception Failure _ -> ()
+  | _ -> Alcotest.fail "negative allocation size accepted");
+  match Serialize.instance_of_string (head ^ "nonsense\n") with
+  | exception Failure msg ->
+      Alcotest.(check string) "line number of the offending line"
+        "Serialize: line 2: expected 'n <n> k <k> rho <rho>'" msg
+  | _ -> Alcotest.fail "accepted"
+
+let fuzz_rand () = Random.State.make [| 2026 |]
+
 let suite =
   [
     Alcotest.test_case "roundtrip unweighted" `Quick test_roundtrip_unweighted;
@@ -147,4 +269,9 @@ let suite =
     Alcotest.test_case "file roundtrip" `Quick test_file_roundtrip;
     Alcotest.test_case "malformed inputs rejected" `Quick test_malformed_rejected;
     QCheck_alcotest.to_alcotest prop_roundtrip_random;
+    Alcotest.test_case "sizes checked before allocation" `Quick
+      test_sizes_checked_before_allocation;
+    QCheck_alcotest.to_alcotest ~rand:(fuzz_rand ()) prop_instance_mutations;
+    QCheck_alcotest.to_alcotest ~rand:(fuzz_rand ()) prop_allocation_mutations;
+    QCheck_alcotest.to_alcotest ~rand:(fuzz_rand ()) prop_workload_mutations;
   ]

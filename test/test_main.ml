@@ -25,4 +25,5 @@ let () =
       ("resilience", Suite_resilience.suite);
       ("pool", Suite_pool.suite);
       ("lp-build", Suite_lp_build.suite);
+      ("derand", Suite_derand.suite);
     ]
