@@ -15,9 +15,9 @@
                         BENCH_engine.json)
 
    A second group, `bench kernels` (dune exec bench/main.exe -- kernels),
-   compares the sparse hot-path kernels against their dense references:
-   bitset-vs-matrix graph queries, eta-file-vs-tableau LP solves, and the
-   full colgen+rounding pipeline dense/sparse and 1-vs-N domains, writing
+   measures the hot-path kernels: bitset-vs-matrix graph queries, a
+   certified eta-file LP solve, and the full colgen+rounding pipeline with
+   naive-vs-incremental pricing and 1-vs-N domains, writing
    BENCH_kernels.json.  Flags: --quick (small instance), --domains N,
    --kernels-out PATH.
 
@@ -206,13 +206,9 @@ let tests =
                }
              in
              ignore (Sa_sim.Market.run ~seed:1 cfg)));
-      (* LP engine comparison on the same auction LP *)
-      Test.make ~name:"lp-engine/dense-n25-k4"
-        (Staged.stage (fun () ->
-             ignore (Lp.solve_explicit ~engine:Sa_lp.Model.Dense_tableau protocol_inst)));
+      (* the explicit auction LP on the library's simplex *)
       Test.make ~name:"lp-engine/revised-n25-k4"
-        (Staged.stage (fun () ->
-             ignore (Lp.solve_explicit ~engine:Sa_lp.Model.Revised_sparse protocol_inst)));
+        (Staged.stage (fun () -> ignore (Lp.solve_explicit protocol_inst)));
       (* serialization roundtrip *)
       Test.make ~name:"io/serialize-roundtrip-n25"
         (Staged.stage (fun () ->
@@ -259,7 +255,7 @@ let engine_bench ~quick ~out =
   ignore (run ~warm_start:false ~domains:1);
   let cold, cold_ctr = run ~warm_start:false ~domains:1 in
   let warm, warm_ctr = run ~warm_start:true ~domains:1 in
-  let domains = Sa_core.Parallel.default_domains in
+  let domains = Sa_core.Pool.default_domains in
   let warm_par, warm_par_ctr = run ~warm_start:true ~domains in
   let ratio a b = if b > 0.0 then a /. b else Float.nan in
   let lp_speedup = ratio cold.Engine.lp_seconds warm.Engine.lp_seconds in
@@ -430,22 +426,17 @@ let kernels_lp_micro ~quick =
   let p = packing_problem ~quick in
   let ncols = Array.length p.Simplex.c in
   let rows = Array.length p.Simplex.rows in
-  let dense_sol, dense_s = Sa_util.Timing.time (fun () -> Simplex.solve p) in
   let (eta_sol, eta_ctr), eta_s =
     Sa_util.Timing.time (fun () ->
         with_counter_delta (fun () -> Sa_lp.Revised.solve p))
   in
-  let certified s = (Sa_lp.Certify.check p s).Sa_lp.Certify.certified in
-  let both_certified = certified dense_sol && certified eta_sol in
-  Printf.printf
-    "  lp     %dx%d packing: dense %.4fs  eta %.4fs  (%.1fx, certified=%b)\n" rows
-    ncols dense_s eta_s (dense_s /. eta_s) both_certified;
+  let certified = (Sa_lp.Certify.check p eta_sol).Sa_lp.Certify.certified in
+  Printf.printf "  lp     %dx%d packing: eta %.4fs  (certified=%b)\n" rows ncols
+    eta_s certified;
   Printf.sprintf
-    "{\"rows\":%d,\"cols\":%d,\"dense_seconds\":%.6f,\"eta_seconds\":%.6f,\
-     \"speedup\":%.3f,\"dense_objective\":%.6f,\"eta_objective\":%.6f,\
-     \"both_certified\":%b,\"eta_counters\":%s}"
-    rows ncols dense_s eta_s (dense_s /. eta_s) dense_sol.Simplex.objective
-    eta_sol.Simplex.objective both_certified
+    "{\"rows\":%d,\"cols\":%d,\"eta_seconds\":%.6f,\"eta_objective\":%.6f,\
+     \"certified\":%b,\"eta_counters\":%s}"
+    rows ncols eta_s eta_sol.Simplex.objective certified
     (Export.counters_to_json eta_ctr)
 
 let kernels_pipeline ~quick ~domains =
@@ -457,13 +448,13 @@ let kernels_pipeline ~quick ~domains =
   let inst =
     Workloads.protocol_instance ~seed:17 ~n ~k ~profile:Workloads.Xor_heavy ()
   in
-  let run name ~engine ~pricing ~dom =
+  let run name ~pricing ~dom =
     let alloc0 = Gc.allocated_bytes () in
     let ((frac, stats, alloc), ctr), seconds =
       Sa_util.Timing.time (fun () ->
           with_counter_delta (fun () ->
               let frac, stats =
-                Oracle.solve ~max_rounds ~engine ~pricing ~domains:dom inst
+                Oracle.solve ~max_rounds ~pricing ~domains:dom inst
               in
               let alloc = Rounding.solve_par ~domains:dom ~trials:8 ~seed:23 inst frac in
               (frac, stats, alloc)))
@@ -485,31 +476,25 @@ let kernels_pipeline ~quick ~domains =
     in
     (json, seconds, frac.Lp.objective, stats.Oracle.columns_generated)
   in
-  let d_json, d_s, d_obj, d_cols =
-    run "dense+naive d=1"
-      ~engine:Sa_lp.Model.Dense_tableau ~pricing:Oracle.Naive ~dom:1
-  in
+  (* naive pricing is the parity partner: the pricing contract makes the
+     incremental trajectory bitwise identical to it *)
+  let n_json, _, n_obj, n_cols = run "sparse+naive d=1" ~pricing:Oracle.Naive ~dom:1 in
   let s1_json, s1_s, s1_obj, s1_cols =
-    run "sparse+incremental d=1"
-      ~engine:Sa_lp.Model.Revised_sparse ~pricing:Oracle.Incremental ~dom:1
+    run "sparse+incremental d=1" ~pricing:Oracle.Incremental ~dom:1
   in
   let sN_json, sN_s, _, _ =
     run
       (Printf.sprintf "sparse+incremental d=%d" domains)
-      ~engine:Sa_lp.Model.Revised_sparse ~pricing:Oracle.Incremental ~dom:domains
+      ~pricing:Oracle.Incremental ~dom:domains
   in
-  let speedup = d_s /. s1_s in
   let scaling = s1_s /. sN_s in
-  Printf.printf
-    "  pipeline speedup sparse/dense: %.2fx   scaling d%d/d1: %.2fx\n" speedup
-    domains scaling;
+  Printf.printf "  pipeline scaling d%d/d1: %.2fx\n" domains scaling;
   Printf.sprintf
-    "{\"n\":%d,\"k\":%d,\"max_rounds\":%d,\"dense\":%s,\"sparse_d1\":%s,\
-     \"sparse_dN\":%s,\"speedup_sparse_over_dense\":%.3f,\
-     \"scaling_dN_over_d1\":%.3f,\"parity\":{\"columns_equal\":%b,\
+    "{\"n\":%d,\"k\":%d,\"max_rounds\":%d,\"naive_d1\":%s,\"sparse_d1\":%s,\
+     \"sparse_dN\":%s,\"scaling_dN_over_d1\":%.3f,\"parity\":{\"columns_equal\":%b,\
      \"objective_delta\":%.9f}}"
-    n k max_rounds d_json s1_json sN_json speedup scaling (d_cols = s1_cols)
-    (Float.abs (d_obj -. s1_obj))
+    n k max_rounds n_json s1_json sN_json scaling (n_cols = s1_cols)
+    (Float.abs (n_obj -. s1_obj))
 
 let kernels_bench ~quick ~out ~domains =
   Printf.printf "kernels (%s, domains=%d):\n%!"
@@ -842,9 +827,9 @@ let observability_bench ~quick ~out =
 
 (* ---- scheduler: persistent pool vs spawn-per-call fan-out ------------------ *)
 
-module Fanout = Sa_core.Fanout
+module Pool = Sa_core.Pool
 
-(* The pre-pool [Fanout.map_array] (spawn d-1 domains per call, static
+(* The pre-pool fan-out (spawn d-1 domains per call, static
    striding, option-boxed results), kept verbatim here so the baseline
    stays fixed regardless of how lib/core evolves. *)
 let spawn_map_array ~domains f arr =
@@ -884,7 +869,7 @@ let scheduler_small_batch ~quick ~domains =
   let expected = Array.map f arr in
   (* throwaway: warm up code paths and park the pool workers *)
   ignore (spawn_map_array ~domains f arr);
-  ignore (Fanout.map_array ~domains f arr);
+  ignore (Pool.map_array ~domains f arr);
   let parity = ref true in
   let time_calls map =
     let (), s =
@@ -896,7 +881,7 @@ let scheduler_small_batch ~quick ~domains =
     s *. 1e6 /. float_of_int calls
   in
   let spawn_us = time_calls (fun f a -> spawn_map_array ~domains f a) in
-  let pool_us = time_calls (fun f a -> Fanout.map_array ~domains f a) in
+  let pool_us = time_calls (fun f a -> Pool.map_array ~domains f a) in
   let speedup = if pool_us > 0.0 then spawn_us /. pool_us else Float.nan in
   Printf.printf
     "  small-batch x%d (n=%d, d=%d): spawn %8.1f us/call  pool %8.1f us/call  \
@@ -924,7 +909,7 @@ let scheduler_skewed ~quick ~domains =
   let arr = Array.init n Fun.id in
   let expected = Array.map f arr in
   ignore (spawn_map_array ~domains f arr);
-  ignore (Fanout.map_array ~domains f arr);
+  ignore (Pool.map_array ~domains f arr);
   let parity = ref true in
   let reps = 3 in
   let time_min map =
@@ -938,8 +923,8 @@ let scheduler_skewed ~quick ~domains =
     !best
   in
   let static_s = time_min (fun f a -> spawn_map_array ~domains f a) in
-  let adaptive_s = time_min (fun f a -> Fanout.map_array ~domains f a) in
-  let chunk1_s = time_min (fun f a -> Fanout.map_array ~domains ~chunk:1 f a) in
+  let adaptive_s = time_min (fun f a -> Pool.map_array ~domains f a) in
+  let chunk1_s = time_min (fun f a -> Pool.map_array ~domains ~chunk:1 f a) in
   let ratio = if adaptive_s > 0.0 then static_s /. adaptive_s else Float.nan in
   Printf.printf
     "  skewed n=%d (d=%d): static-stride %.4fs  pool-adaptive %.4fs  \

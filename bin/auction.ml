@@ -171,9 +171,9 @@ let read_file path =
 let print_telemetry_summary (snap : Metrics.view) =
   let c name = Option.value ~default:0 (Metrics.find_counter snap name) in
   Printf.printf
-    "telemetry: pivots %d revised / %d dense  colgen %d calls / %d cols  \
-     rounding %d trials  rho-est %d  topo %d/%d hit  basis %d/%d hit\n"
-    (c "lp.revised.pivots") (c "lp.simplex.pivots") (c "core.colgen.oracle_calls")
+    "telemetry: pivots %d  colgen %d calls / %d cols  rounding %d trials  \
+     rho-est %d  topo %d/%d hit  basis %d/%d hit\n"
+    (c "lp.revised.pivots") (c "core.colgen.oracle_calls")
     (c "core.colgen.columns") (c "core.rounding.trials") (c "graph.rho.estimates")
     (c "engine.topology.hits")
     (c "engine.topology.hits" + c "engine.topology.misses")

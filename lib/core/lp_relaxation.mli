@@ -35,12 +35,10 @@ val is_lp_feasible : ?eps:float -> Instance.t -> fractional -> bool
 val fractional_value_of_bidder : Instance.t -> fractional -> int -> float
 (** [Σ_T b_{v,T}·x_{v,T}]. *)
 
-val solve_explicit :
-  ?engine:Sa_lp.Model.engine -> ?zeroed:int list -> Instance.t -> fractional
+val solve_explicit : ?zeroed:int list -> Instance.t -> fractional
 (** Solve the LP with explicit columns.  [zeroed] lists bidders whose
     valuations are treated as identically zero (used for VCG-style payment
-    computations: "the LP without bidder v").  [engine] picks the simplex
-    implementation (default dense tableau).  Raises
+    computations: "the LP without bidder v").  Raises
     [Sa_util.Fail.Error (Solver_numerical _)] when the simplex fails to
     reach optimality. *)
 
@@ -58,7 +56,7 @@ type solve_stats = {
   basis : Sa_lp.Revised.basis option;
       (** optimal simplex basis; reusable as [warm_start] for any instance
           with the same {!Serialize.shape_fingerprint} *)
-  iterations : int;  (** simplex pivots spent (0 for the dense engine) *)
+  iterations : int;  (** simplex pivots spent *)
   warm_start_used : bool;
 }
 
@@ -74,22 +72,22 @@ val solve_explicit_stats :
   Instance.t ->
   fractional * solve_stats
 (** {!solve_explicit} with the warm-start plumbing exposed: pass a basis
-    cached from a previous same-shape solve to skip the cold start
-    ([Revised_sparse] engine only), and read back the basis/pivot counts
-    the batch engine's cache records.
+    cached from a previous same-shape solve to skip the cold start, and
+    read back the basis/pivot counts the batch engine's cache records.
+    [engine] is ignored: [Revised_sparse] is the only engine; the label is
+    accepted for existing callers.
 
     [max_iters] caps simplex pivots per phase (the engine's per-job pivot
     budget; exceeding it surfaces as [Solver_numerical]); [deadline] is an
     absolute {!Sa_util.Timing.now} timestamp enforced in the pivot loop
     ([Sa_util.Fail.Error (Timeout _)] past it);
     [inject_warm_crash] forces the warm pivot-in to fail after mutating
-    state, exercising the rollback path (fault injection; [Revised_sparse]
-    only); [pricing] selects the revised engine's entering-variable rule
-    (default [Dantzig]); [presolve] (default [false], [Revised_sparse]
-    only) runs the {!Sa_lp.Presolve} reduction/scaling pipeline before the
-    solve — results come back in original coordinates via the exact
-    postsolve, so deterrent prices and certificates are unchanged within
-    [Tol]. *)
+    state, exercising the rollback path (fault injection); [pricing]
+    selects the simplex's entering-variable rule (default [Dantzig]);
+    [presolve] (default [false]) runs the {!Sa_lp.Presolve}
+    reduction/scaling pipeline before the solve — results come back in
+    original coordinates via the exact postsolve, so deterrent prices and
+    certificates are unchanged within [Tol]. *)
 
 val scale : fractional -> float -> fractional
 (** Scale every [x] (and the objective) by a factor in [\[0,1\]] — LP

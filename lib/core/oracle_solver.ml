@@ -206,7 +206,7 @@ let price_state_update inst st ~y =
   Tel.add m_price_recomputes !recomputed
 
 let solve ?(max_rounds = 200) ?(eps = Sa_lp.Tol.feas_eps)
-    ?(engine = Model.Revised_sparse) ?(pricing = Incremental) ?lp_pricing
+    ?engine:_ ?(pricing = Incremental) ?lp_pricing
     ?presolve ?(domains = 1) ?deadline ?(on_stall = `Accept) ?column_pool inst =
   Sa_telemetry.Trace.with_span ~hist:h_solve "core.colgen.solve" @@ fun () ->
   Tel.incr m_solves;
@@ -288,7 +288,7 @@ let solve ?(max_rounds = 200) ?(eps = Sa_lp.Tol.feas_eps)
      the generated column sequence is independent of [domains]. *)
   let all_demands prices =
     Tel.add m_oracle_calls n;
-    Fanout.map_array ~domains
+    Pool.map_array ~domains
       (fun v ->
         (* Classify anything escaping a demand oracle: the engine needs to
            know which bidder's oracle broke to report (and retry) the job. *)
@@ -343,16 +343,15 @@ let solve ?(max_rounds = 200) ?(eps = Sa_lp.Tol.feas_eps)
   let lp_workspace = Sa_lp.Workspace.get () in
   let solve_master () =
     let nstruct = Model.num_vars m in
+    let shift = nstruct - !basis_nstruct in
     let warm_start =
-      match !warm_basis with
-      | Some b when engine = Model.Revised_sparse ->
-          let shift = nstruct - !basis_nstruct in
-          Some (Array.map (fun j -> if j < !basis_nstruct then j else j + shift) b)
-      | _ -> None
+      Option.map
+        (Array.map (fun j -> if j < !basis_nstruct then j else j + shift))
+        !warm_basis
     in
     let r, dt =
       Sa_util.Timing.time (fun () ->
-          Model.solve_with_basis ~engine ?warm_start ?deadline
+          Model.solve_with_basis ?warm_start ?deadline
             ?pricing:lp_pricing ?presolve ~workspace:lp_workspace m)
     in
     lp_time := !lp_time +. dt;

@@ -86,9 +86,10 @@ val solve :
     restricted-master optimum, [`Fail] raises
     [Sa_util.Fail.Error (Colgen_stall _)].
 
-    [engine] selects the master-LP solver (default [Revised_sparse]; the
-    sparse engine is warm-started across rounds from the previous optimal
-    basis, with slack indices remapped as columns are appended).
+    The master LP is warm-started across rounds from the previous optimal
+    basis, with slack indices remapped as columns are appended.  [engine]
+    is ignored: [Revised_sparse] is the only engine; the label is accepted
+    for existing callers.
     [pricing] defaults to [Incremental].  [lp_pricing] selects the
     *simplex* entering-variable rule inside each master solve
     ({!Sa_lp.Model.pricing}, default [Dantzig]) — distinct from [pricing],

@@ -1,17 +1,11 @@
 module Prng = Sa_util.Prng
 
-let default_domains = Fanout.default_domains
-
-let map_array ?(domains = default_domains) ?chunk f arr =
-  if domains < 1 then invalid_arg "Parallel.map_array: domains must be >= 1";
-  Fanout.map_array ~domains ?chunk f arr
-
 let better inst a b = if Allocation.value inst a >= Allocation.value inst b then a else b
 
 let reduce_best inst results =
   Array.fold_left (better inst) (Allocation.empty (Instance.n inst)) results
 
-let solve_rounding ?(domains = default_domains) ?(trials_per_domain = 4) ~seed inst
+let solve_rounding ?(domains = Pool.default_domains) ?(trials_per_domain = 4) ~seed inst
     frac =
   if domains < 1 then invalid_arg "Parallel.solve_rounding: domains must be >= 1";
   if trials_per_domain < 1 then
@@ -24,9 +18,9 @@ let solve_rounding ?(domains = default_domains) ?(trials_per_domain = 4) ~seed i
     Rounding.solve_adaptive ~trials:trials_per_domain g inst frac
   in
   if domains = 1 then worker 0
-  else reduce_best inst (Fanout.map_array ~domains worker (Array.init domains Fun.id))
+  else reduce_best inst (Pool.map_array ~domains worker (Array.init domains Fun.id))
 
-let derand1 ?(domains = default_domains) inst frac =
+let derand1 ?(domains = Pool.default_domains) inst frac =
   (match inst.Instance.conflict with
   | Instance.Unweighted _ -> ()
   | Instance.Edge_weighted _ | Instance.Per_channel _ | Instance.Per_channel_weighted _
@@ -38,7 +32,7 @@ let derand1 ?(domains = default_domains) inst frac =
   let chunk = (p + domains - 1) / domains in
   let ranges = Array.init domains (fun d -> (min p (d * chunk), min p ((d + 1) * chunk))) in
   let results =
-    Fanout.map_array ~domains (fun (a_lo, a_hi) -> Derand.scan plan ~a_lo ~a_hi) ranges
+    Pool.map_array ~domains (fun (a_lo, a_hi) -> Derand.scan plan ~a_lo ~a_hi) ranges
   in
   (* the earliest range wins ties, as the sequential scan's incumbent does *)
   let best, _ =

@@ -12,19 +12,6 @@
     ({!Domain.recommended_domain_count}); on a single-core host the code
     still runs correctly, just without gain. *)
 
-val default_domains : int
-(** [max 1 (Domain.recommended_domain_count () - 1)]. *)
-
-val map_array : ?domains:int -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [map_array f arr] is [Array.map f arr] scheduled across up to
-    [domains] OCaml 5 domains (default {!default_domains}) on the
-    persistent {!Pool} — dynamic chunk self-scheduling ([chunk] fixes the
-    chunk size, default adaptive) with work stealing.  Output order and
-    content are identical to the sequential map whenever [f] is a function
-    of its argument alone; this is the generic fan-out the batch engine
-    builds on.  [f] must be safe to run concurrently from several
-    domains.  Failure contract as in {!Fanout.map_array}. *)
-
 val solve_rounding :
   ?domains:int ->
   ?trials_per_domain:int ->
@@ -33,7 +20,7 @@ val solve_rounding :
   Lp_relaxation.fractional ->
   Allocation.t
 (** Best feasible allocation over [domains × trials_per_domain] (default
-    [default_domains × 4]) independent {!Rounding.solve_adaptive} trials,
+    [Pool.default_domains × 4]) independent {!Rounding.solve_adaptive} trials,
     each domain on its own deterministic PRNG stream derived from [seed]. *)
 
 val derand1 :

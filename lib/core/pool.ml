@@ -1,7 +1,7 @@
 (* Persistent domain pool with a dynamic self-scheduling (work-stealing)
    batch scheduler.
 
-   Every [Fanout.map_array] used to pay [Domain.spawn]/[Domain.join] per
+   Every fan-out used to pay [Domain.spawn]/[Domain.join] per
    call and assigned indices in fixed strides, so one expensive item
    stalled its stride while sibling domains idled.  Here worker domains
    are spawned once (lazily, on the first batch that needs them), parked
@@ -251,7 +251,9 @@ let shutdown t =
 
 (* ----------------------------- default pool ------------------------------ *)
 
-(* Process-wide pool shared by [Fanout]/[Parallel].  [shutdown] on it is
+let default_domains = max 1 (Domain.recommended_domain_count () - 1)
+
+(* Process-wide pool shared by every fan-out.  [shutdown] on it is
    honoured — the next [default ()] transparently builds a fresh pool, so
    tests (and embedders that fork) can recycle the worker set. *)
 let default_lock = Mutex.create ()

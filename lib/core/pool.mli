@@ -31,8 +31,12 @@ val create : unit -> t
 (** A fresh pool with no workers (they are spawned on demand by
     {!map_array}). *)
 
+val default_domains : int
+(** [recommended_domain_count () - 1], at least 1: the default [domains]
+    of the library's parallel stages. *)
+
 val default : unit -> t
-(** The process-wide pool used by {!Fanout} and {!Parallel}.  If the
+(** The process-wide pool every fan-out in the library runs on.  If the
     current default has been {!shutdown}, a fresh pool is created — the
     pool is restartable. *)
 
@@ -40,8 +44,8 @@ val map_array : ?pool:t -> ?domains:int -> ?chunk:int -> ('a -> 'b) -> 'a array 
 (** [map_array f arr] is [Array.map f arr]; with [domains > 1] the items
     are scheduled across [min domains (length arr)] participants (the
     calling domain plus up to [domains - 1] pool workers).  [pool]
-    defaults to {!default}[ ()]; [domains] defaults to 1 (callers such as
-    {!Fanout.map_array} pass their own default); [chunk] fixes the
+    defaults to {!default}[ ()]; [domains] defaults to 1 (callers pass
+    their own, typically {!default_domains}); [chunk] fixes the
     self-scheduling chunk size (default: adaptive).
 
     Element 0 is computed eagerly on the caller to seed the result buffer,

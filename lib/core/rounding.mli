@@ -101,7 +101,7 @@ val solve_par :
   Lp_relaxation.fractional ->
   Allocation.t
 (** {!solve} with the trials fanned across OCaml 5 domains
-    ({!Fanout.map_array}; [chunk] fixes the pool's self-scheduling chunk
+    ({!Pool.map_array}; [chunk] fixes the pool's self-scheduling chunk
     size).  Each trial runs on its own PRNG stream derived from [seed] and
     trial index — never from the domain assignment — and the best
     allocation is chosen in fixed index order, so the result is

@@ -4,7 +4,7 @@ module Lp = Sa_core.Lp_relaxation
 module Rounding = Sa_core.Rounding
 module Greedy = Sa_core.Greedy
 module Derand = Sa_core.Derand
-module Parallel = Sa_core.Parallel
+module Pool = Sa_core.Pool
 module Oracle_solver = Sa_core.Oracle_solver
 module Serialize = Sa_core.Serialize
 module Graph = Sa_graph.Graph
@@ -384,9 +384,9 @@ let run_job_robust_impl t policy job =
                    pivots; the per-attempt pivot budget is not threaded
                    through — the deadline is the binding control. *)
                 let frac, ostats =
-                  Oracle_solver.solve ~engine:Sa_lp.Model.Revised_sparse
-                    ~lp_pricing:policy.lp_pricing ~presolve:policy.lp_presolve
-                    ?deadline ?column_pool:oracle_pool inst
+                  Oracle_solver.solve ~lp_pricing:policy.lp_pricing
+                    ~presolve:policy.lp_presolve ?deadline ?column_pool:oracle_pool
+                    inst
                 in
                 ( frac,
                   {
@@ -395,9 +395,8 @@ let run_job_robust_impl t policy job =
                     warm_start_used = false;
                   } )
             | _ ->
-                Lp.solve_explicit_stats ~engine:Sa_lp.Model.Revised_sparse
-                  ?warm_start:warm_basis ?deadline ?max_iters:policy.pivot_budget
-                  ~inject_warm_crash:fire_warm ~pricing:policy.lp_pricing
+                Lp.solve_explicit_stats ?warm_start:warm_basis ?deadline
+                  ?max_iters:policy.pivot_budget ~inject_warm_crash:fire_warm ~pricing:policy.lp_pricing
                   ~presolve:policy.lp_presolve inst)
       in
       lp_s_total := !lp_s_total +. lp_s;
@@ -653,7 +652,7 @@ let run_batch ?(domains = 1) ?chunk ?(policy = default_policy) t jobs =
   let arr = Array.of_list jobs in
   let results, wall =
     Timing.time (fun () ->
-        Parallel.map_array ~domains ?chunk (run_job_robust t policy) arr)
+        Pool.map_array ~domains ?chunk (run_job_robust t policy) arr)
   in
   publish_cache_gauges t;
   let summary = summarize t results ~wall in

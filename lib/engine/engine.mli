@@ -228,7 +228,7 @@ val run_batch :
   ?domains:int -> ?chunk:int -> ?policy:policy -> t -> job list ->
   result array * summary
 (** Run every job (default sequentially; [domains > 1] schedules on the
-    persistent domain pool via {!Sa_core.Parallel.map_array}; [chunk]
+    persistent domain pool via {!Sa_core.Pool.map_array}; [chunk]
     fixes the pool's self-scheduling chunk size, default adaptive).
     [results.(i)] corresponds to the i-th job of the input list regardless
     of scheduling.  [policy] defaults to {!default_policy}. *)

@@ -64,7 +64,7 @@ type solution = {
   dual : row -> float;
 }
 
-type engine = Dense_tableau | Revised_sparse
+type engine = Revised_sparse
 
 type pricing = Revised.pricing = Dantzig | Devex
 
@@ -73,16 +73,6 @@ type warm_solution = {
   basis : Revised.basis option;
   stats : Revised.stats;
 }
-
-let to_problem t =
-  let c = Array.sub t.objs 0 t.nvars in
-  let dense_row data =
-    let a = Array.make t.nvars 0.0 in
-    List.iter (fun (v, coeff) -> a.(v) <- a.(v) +. coeff) data.coeffs;
-    (a, data.relation, data.rhs)
-  in
-  let rows = Array.init t.nrows (fun i -> dense_row t.rows.(i)) in
-  { Simplex.direction = t.direction; c; rows }
 
 (* Workspace slot assignments (slots 16..23 of each typed pool belong to
    this module; see Workspace docs). *)
@@ -102,13 +92,10 @@ module Slot = struct
 end
 
 (* Build the sparse column-major spec directly from the row lists, into
-   workspace buffers — the allocation-free replacement for [to_problem]'s
-   O(rows · vars) densification on the column-generation hot path.
+   workspace buffers, so the column-generation hot path never densifies.
 
-   Bitwise compatibility with the dense path: duplicate (row, var) entries
-   are summed starting from 0.0 in list order, exactly as [to_problem]'s
-   [a.(v) <- a.(v) +. coeff] accumulation, and an entry is kept iff the
-   merged value is nonzero, so the spec describes the identical matrix. *)
+   Duplicate (row, var) entries are summed starting from 0.0 in list
+   order, and an entry is kept iff the merged value is nonzero. *)
 let to_spec ws t =
   let nvars = t.nvars in
   let m = t.nrows in
@@ -126,9 +113,9 @@ let to_spec ws t =
   let acc = Workspace.floats ws ~slot:Slot.acc nvars in
   let touched = Workspace.ints ws ~slot:Slot.touched nvars in
   (* [merge_row tag i k] folds row [i]'s duplicate entries (0.0-seeded, in
-     list order, matching the dense path bitwise) and calls [k v value] for
-     each var with a nonzero merged value.  [tag] keeps the two passes'
-     stamps distinct without clearing the stamp array between them. *)
+     list order) and calls [k v value] for each var with a nonzero merged
+     value.  [tag] keeps the two passes' stamps distinct without clearing
+     the stamp array between them. *)
   let merge_row tag i k =
     let rd = rows_arr.(i) in
     let n = ref 0 in
@@ -211,51 +198,34 @@ let no_presolve_attrs =
     ("presolve_scaling_passes", "0");
   ]
 
-let solve_with_basis ?(engine = Dense_tableau) ?eps ?max_iters ?warm_start
-    ?deadline ?inject_warm_crash ?pricing ?workspace ?(presolve = false) t =
-  match engine with
-  | Dense_tableau ->
-      (* the dense tableau has no warm-start path; pivot count unknown *)
-      let sol = Simplex.solve ?eps ?max_iters ?deadline (to_problem t) in
-      {
-        solution = wrap t sol;
-        basis = None;
-        stats = { Revised.iterations = 0; warm_used = false };
-      }
-  | Revised_sparse -> (
-      let ws = match workspace with Some ws -> ws | None -> Workspace.get () in
-      let spec = to_spec ws t in
-      if not presolve then
-        let sol, basis, stats =
-          Revised.solve_spec ?eps ?max_iters ?warm_start ?deadline
-            ?inject_warm_crash ?pricing ~workspace:ws spec
-        in
+let solve_with_basis ?eps ?max_iters ?warm_start ?deadline ?inject_warm_crash
+    ?pricing ?workspace ?(presolve = false) t =
+  let ws = match workspace with Some ws -> ws | None -> Workspace.get () in
+  let spec = to_spec ws t in
+  let revised ?warm_start ?attrs spec =
+    Revised.solve_spec ?eps ?max_iters ?warm_start ?deadline ?inject_warm_crash
+      ?pricing ~workspace:ws ?attrs spec
+  in
+  if not presolve then
+    let sol, basis, stats = revised ?warm_start spec in
+    { solution = wrap t sol; basis; stats }
+  else
+    match Presolve.reduce ~workspace:ws spec with
+    | None ->
+        let sol, basis, stats = revised ?warm_start ~attrs:no_presolve_attrs spec in
         { solution = wrap t sol; basis; stats }
-      else
-        match Presolve.reduce ~workspace:ws spec with
-        | None ->
-            let sol, basis, stats =
-              Revised.solve_spec ?eps ?max_iters ?warm_start ?deadline
-                ?inject_warm_crash ?pricing ~workspace:ws
-                ~attrs:no_presolve_attrs spec
-            in
-            { solution = wrap t sol; basis; stats }
-        | Some (reduced, pr) ->
-            (* warm-start tokens stay in original internal index space at
-               the API boundary: translate in, solve reduced, translate
-               the optimal basis back out so callers (engine basis cache,
-               colgen) never see reduced indices. *)
-            let warm_red = Option.bind warm_start (Presolve.map_basis_in pr) in
-            let sol, rbasis, stats =
-              Revised.solve_spec ?eps ?max_iters ?warm_start:warm_red ?deadline
-                ?inject_warm_crash ?pricing ~workspace:ws
-                ~attrs:(presolve_attrs (Presolve.info pr))
-                reduced
-            in
-            let sol = Presolve.postsolve pr sol in
-            let basis = Option.bind rbasis (Presolve.map_basis_out pr) in
-            { solution = wrap t sol; basis; stats })
+    | Some (reduced, pr) ->
+        (* warm-start tokens stay in original internal index space at the
+           API boundary: translate in, solve reduced, translate the optimal
+           basis back out so callers (engine basis cache, colgen) never see
+           reduced indices. *)
+        let warm_start = Option.bind warm_start (Presolve.map_basis_in pr) in
+        let sol, rbasis, stats =
+          revised ?warm_start ~attrs:(presolve_attrs (Presolve.info pr)) reduced
+        in
+        let sol = Presolve.postsolve pr sol in
+        let basis = Option.bind rbasis (Presolve.map_basis_out pr) in
+        { solution = wrap t sol; basis; stats }
 
-let solve ?engine ?eps ?max_iters ?deadline ?pricing ?presolve t =
-  (solve_with_basis ?engine ?eps ?max_iters ?deadline ?pricing ?presolve t)
-    .solution
+let solve ?eps ?max_iters ?deadline ?pricing ?presolve t =
+  (solve_with_basis ?eps ?max_iters ?deadline ?pricing ?presolve t).solution

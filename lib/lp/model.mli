@@ -1,4 +1,4 @@
-(** Incremental LP model builder on top of {!Simplex}.
+(** Incremental LP model builder on top of {!Revised}.
 
     Callers register variables (all implicitly [≥ 0]) and sparse constraint
     rows, then [solve].  Variable and row handles are plain ints, stable
@@ -41,14 +41,15 @@ type solution = {
   dual : row -> float;
 }
 
-type engine = Dense_tableau | Revised_sparse
+type engine = Revised_sparse
+(** {!Revised}, the only simplex engine.  The type remains so existing
+    callers that name the engine still compile. *)
 
 type pricing = Revised.pricing = Dantzig | Devex
 (** Re-export of {!Revised.pricing} so engine-policy code can name the
     rule without depending on {!Revised} directly. *)
 
 val solve :
-  ?engine:engine ->
   ?eps:float ->
   ?max_iters:int ->
   ?deadline:float ->
@@ -56,24 +57,21 @@ val solve :
   ?presolve:bool ->
   t ->
   solution
-(** Runs the chosen simplex engine (default [Dense_tableau]; see
-    {!Revised}) on the current model.  The model remains usable (more
+(** Runs {!Revised} on the current model.  The model remains usable (more
     variables/rows may be added and [solve] called again — each call solves
-    from scratch).  [pricing] selects the entering-variable rule of the
-    revised engine (default [Dantzig]; ignored by [Dense_tableau]);
-    [presolve] (default [false]) runs the {!Presolve} reduction/scaling
-    pipeline first (only honoured by [Revised_sparse]). *)
+    from scratch).  [pricing] selects the entering-variable rule (default
+    [Dantzig]); [presolve] (default [false]) runs the {!Presolve}
+    reduction/scaling pipeline first. *)
 
 type warm_solution = {
   solution : solution;
   basis : Revised.basis option;
       (** optimal basis to reuse as a warm start for a same-shape model
-          (always [None] for [Dense_tableau] or non-optimal solves) *)
+          ([None] for non-optimal solves) *)
   stats : Revised.stats;
 }
 
 val solve_with_basis :
-  ?engine:engine ->
   ?eps:float ->
   ?max_iters:int ->
   ?warm_start:Revised.basis ->
@@ -86,29 +84,29 @@ val solve_with_basis :
   warm_solution
 (** {!solve}, exposing the warm-start machinery of {!Revised.solve_warm}:
     pass the basis returned by a previous solve of a same-shape model to
-    skip the cold start.  Only [Revised_sparse] honours [warm_start]; an
-    invalid basis degrades silently to a cold solve.
+    skip the cold start.  An invalid basis degrades silently to a cold
+    solve.
 
-    With [Revised_sparse] the problem is staged as a sparse {!Revised.spec}
-    straight from the row lists — no dense materialisation — using
-    [workspace] (default: the calling domain's arena, {!Workspace.get}),
-    which is also handed to the solver for its scratch state; a
-    column-generation loop therefore re-solves with allocation proportional
-    to the columns added since the last round, not to the matrix size.
-    [pricing] selects the entering-variable rule (default [Dantzig]).
+    The problem is staged as a sparse {!Revised.spec} straight from the
+    row lists — no dense materialisation — using [workspace] (default: the
+    calling domain's arena, {!Workspace.get}), which is also handed to the
+    solver for its scratch state; a column-generation loop therefore
+    re-solves with allocation proportional to the columns added since the
+    last round, not to the matrix size.  [pricing] selects the
+    entering-variable rule (default [Dantzig]).
 
-    [to_problem]-level certification: the basis token is tied to the
-    model's variable/row layout, so callers must key caches on a
-    fingerprint of that layout (see {!Sa_core.Serialize}).
+    The basis token is tied to the model's variable/row layout, so callers
+    must key caches on a fingerprint of that layout (see
+    {!Sa_core.Serialize}).
 
     [deadline] is an absolute {!Sa_util.Timing.now} timestamp enforced
     inside the pivot loops ([Sa_util.Fail.Error (Timeout _)] past it);
     [inject_warm_crash] forwards {!Revised.solve_warm}'s fault-injection
-    hook and is ignored by [Dense_tableau].
+    hook.
 
-    [presolve] (default [false], [Revised_sparse] only) runs
-    {!Presolve.reduce} on the staged spec, solves the reduced LP, and maps
-    the solution, duals, and basis back to the model's own spaces via the
-    exact postsolve — the returned solution and basis are always in
-    original model coordinates, and reduction counts are attached as
-    [presolve_*] attrs on the solve span/event. *)
+    [presolve] (default [false]) runs {!Presolve.reduce} on the staged
+    spec, solves the reduced LP, and maps the solution, duals, and basis
+    back to the model's own spaces via the exact postsolve — the returned
+    solution and basis are always in original model coordinates, and
+    reduction counts are attached as [presolve_*] attrs on the solve
+    span/event. *)

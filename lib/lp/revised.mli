@@ -1,6 +1,6 @@
-(** Sparse revised simplex — an alternative engine to {!Simplex}.
+(** Sparse revised simplex — the library's LP engine.
 
-    Same problem/solution types, different machinery: columns are stored
+    Solves the {!Simplex} problem type.  Columns are stored
     as one flat CSC matrix and the basis inverse is kept as a product-form
     eta file (one sparse eta column per pivot), so ftran/btran cost O(nnz)
     per eta rather than O(m²) dense updates.  The file is rebuilt from the
@@ -21,9 +21,9 @@
     range used on every solve, keeping results bitwise independent of
     whatever previously ran on the domain.
 
-    Numerical behaviour can differ from the tableau in degenerate cases;
-    the test suite cross-validates objectives between the two engines and
-    certifies both with {!Certify}. *)
+    The test suite cross-validates objectives against an independent dense
+    tableau solver and certifies both with {!Certify}; in degenerate cases
+    the two may report different optimal vertices. *)
 
 type basis = int array
 (** A simplex basis: one internal column index per row.  Opaque to callers
@@ -78,7 +78,8 @@ val solve :
   ?workspace:Workspace.t ->
   Simplex.problem ->
   Simplex.solution
-(** Drop-in replacement for {!Simplex.solve}.  [deadline] is an absolute
+(** Solves a dense {!Simplex.problem} (converted once to a {!spec}) from
+    the all-slack start with two phases.  [deadline] is an absolute
     {!Sa_util.Timing.now} timestamp; past it the solve raises
     [Sa_util.Fail.Error (Timeout _)] (checked every 32 pivots).
     [pricing] defaults to [Dantzig]; [workspace] defaults to the calling

@@ -1,15 +1,9 @@
-(** Dense two-phase primal simplex.
+(** The LP statement and result types shared by the LP layer.
 
-    Replaces the external LP solver the paper implicitly assumes (it invokes
-    the ellipsoid method for polynomial-time arguments; any exact LP solver
-    gives the same optimum).  Handles [max/min cᵀx] subject to rows
-    [aᵀx {≤,≥,=} b] with [x ≥ 0].
-
-    Pivoting is Dantzig's rule with an automatic switch to Bland's rule
-    (which cannot cycle) once the iteration count suggests degeneracy.
-    Dual values are recovered from the objective row of the final tableau:
-    for a ≤-row its slack column, for ≥/= rows the retained artificial
-    column. *)
+    A problem is [max/min cᵀx] subject to rows [aᵀx {≤,≥,=} b] with
+    [x ≥ 0].  {!Revised} solves it (directly or as a sparse
+    {!Revised.spec}); {!Certify} checks a solution against it and
+    {!Presolve} maps solutions of a reduced problem back to it. *)
 
 type relation = Le | Ge | Eq
 
@@ -34,11 +28,3 @@ type solution = {
           Minimize), so that strong duality reads
           [objective = Σ_i duals.(i) * b_i] for non-degenerate optima. *)
 }
-
-val solve : ?eps:float -> ?max_iters:int -> ?deadline:float -> problem -> solution
-(** [eps] is the pivot tolerance (default 1e-9); [max_iters] defaults to
-    [50_000 + 50 * (rows + cols)].  [deadline] is an absolute
-    {!Sa_util.Timing.now} timestamp: once the monotonic clock passes it
-    (checked every 32 pivots) the solve raises
-    [Sa_util.Fail.Error (Timeout _)] — the enforcement hook for the batch
-    engine's per-job budgets. *)

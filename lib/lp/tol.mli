@@ -15,7 +15,7 @@ val drift_eps : float
     logs a warning and adopts the recomputed values. *)
 
 val solve_eps : float
-(** Default pivot-loop tolerance of both simplex engines: reduced costs
+(** Default pivot-loop tolerance of the simplex: reduced costs
     below it are treated as zero in pricing, and it is the ratio-test
     tie-breaking band. *)
 

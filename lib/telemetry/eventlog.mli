@@ -12,7 +12,7 @@
     {!to_jsonl} merges events in the fixed order (job id, index) and
     assigns monotonic [seq] numbers positionally, so same-seed logs are
     byte-identical at any [--domains] value (jobs never migrate domains
-    under {!Sa_core.Parallel.map_array}).  Events emitted with no ambient
+    under {!Sa_core.Pool.map_array}).  Events emitted with no ambient
     job are dropped and counted in [telemetry.events.dropped]. *)
 
 type field = Bool of bool | Int of int | Float of float | Str of string

@@ -18,6 +18,12 @@ val start : ?host:string -> port:int -> (string -> response) -> t
     with any query string stripped; exceptions it raises become 500
     responses.  @raise Unix.Unix_error if the bind fails. *)
 
+val parse_request : string -> (string, int) result
+(** [parse_request head] reads the request line of a request head: [Ok
+    path] for [GET], with any [?query] stripped; [Error 405] for any other
+    method; [Error 400] when the head has no newline or the line is not
+    three space-separated fields.  Never raises.  Exposed for tests. *)
+
 val port : t -> int
 (** The bound port (useful with [~port:0]). *)
 

@@ -1,7 +1,7 @@
 (* Domain-safe metrics registry.
 
    Counters and histograms are backed by [Atomic] so concurrent updates
-   from domains sharded by [Sa_core.Parallel.map_array] are exact: no
+   from domains sharded by [Sa_core.Pool.map_array] are exact: no
    update is lost and counter totals are independent of the domain count
    and interleaving.  Gauges use a CAS loop for read-modify-write.
 
@@ -196,8 +196,6 @@ let reset ?(registry = default) () =
 
 let counter_descriptions =
   [
-    ("lp.simplex.solves", "Dense tableau simplex solves completed");
-    ("lp.simplex.pivots", "Dense tableau simplex pivot steps");
     ("lp.revised.solves", "Revised (eta-file) simplex solves completed");
     ("lp.revised.pivots", "Revised simplex pivot steps");
     ("lp.revised.warm_attempts", "Warm-start basis installations attempted");

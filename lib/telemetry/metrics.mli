@@ -1,5 +1,5 @@
 (** Domain-safe metrics registry: counters, gauges and histograms backed by
-    [Atomic], exact under {!Sa_core.Parallel.map_array} sharding.
+    [Atomic], exact under {!Sa_core.Pool.map_array} sharding.
 
     Metric names use the scheme [<library>.<component>.<quantity>], lower
     case, [a-z0-9._] only (e.g. ["lp.revised.pivots"]).  Registration is

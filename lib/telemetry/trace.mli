@@ -3,7 +3,7 @@
     A span records one timed region: a process-unique [id], the [id] of
     the enclosing span on the same domain ([parent], derived from a
     domain-local ambient stack, so {!with_span} calls nest automatically —
-    including under {!Sa_core.Parallel.map_array}, where each spawned
+    including under {!Sa_core.Pool.map_array}, where each spawned
     domain starts a fresh track), and string key/value [attrs].
 
     Completed spans are kept in a global ring buffer (most recent

@@ -1,12 +1,14 @@
 #!/bin/sh
 # Repo health check: full build, test suite, an engine bench smoke run that
 # validates BENCH_engine.json, kernels + construction + resilience +
-# scheduler bench smoke runs (the scheduler smoke asserts the persistent
-# domain pool is no slower per call than spawn-per-call and that the
-# cross-job column pool preserves per-job results byte for byte), a
-# pricing smoke (devex vs dantzig certified parity, workspace-reuse
-# bitwise equality, and serve --pricing devex determinism across runs
-# and domain counts), a fault-injection smoke (serve --fault-rate twice with the
+# scheduler bench smoke runs (the kernels smoke asserts a certified LP
+# solve and bitwise naive/incremental colgen parity; the scheduler smoke
+# asserts the persistent domain pool is no slower per call than
+# spawn-per-call and that the cross-job column pool preserves per-job
+# results byte for byte), an experiments E1-E13 quick run, a pricing
+# smoke (devex vs dantzig certified parity, workspace-reuse bitwise
+# equality, and serve --pricing devex determinism across runs and domain
+# counts), a fault-injection smoke (serve --fault-rate twice with the
 # same seed and across domain counts must emit byte-identical per-job
 # results, with every job served), and a telemetry smoke run that
 # validates the serve --metrics-out snapshot (parses, hot-path counters
@@ -54,8 +56,8 @@ dune exec bench/main.exe -- kernels --quick --domains 4 \
 
 test -s "$kout" || { echo "check: $kout missing or empty" >&2; exit 1; }
 for key in '"benchmark":"kernels"' '"graph":' '"is_independent":' '"lp":' \
-           '"pipeline":' '"sparse_d1":' '"sparse_dN":' '"alloc_bytes":' \
-           '"speedup_sparse_over_dense":' '"scaling_dN_over_d1":'; do
+           '"pipeline":' '"naive_d1":' '"sparse_d1":' '"sparse_dN":' \
+           '"alloc_bytes":' '"scaling_dN_over_d1":'; do
   grep -q -- "$key" "$kout" || { echo "check: $kout lacks $key" >&2; exit 1; }
 done
 
@@ -69,14 +71,17 @@ awk "BEGIN{exit !($gspeed >= 1.0)}" \
 grep -q '"agree":true' "$kout" \
   || { echo "check: bitset kernel disagrees with dense reference" >&2; exit 1; }
 
-# dense and sparse pipelines must certify the identical LP objective
-# (column counts may differ by degenerate dual ties on the small quick
-# instance; the full-size run in the committed BENCH_kernels.json has
-# exact column parity too)
-grep -q '"columns_equal":' "$kout" \
-  || { echo "check: $kout lacks parity block" >&2; exit 1; }
+# the eta-file solve of the packing LP must come with an optimality
+# certificate
+grep -q '"certified":true' "$kout" \
+  || { echo "check: kernels LP solve not certified" >&2; exit 1; }
+
+# naive and incremental colgen pricing must follow the identical
+# trajectory: same LP objective and the same generated columns
+grep -q '"columns_equal":true' "$kout" \
+  || { echo "check: pipeline columns differ naive vs incremental" >&2; exit 1; }
 grep -q '"objective_delta":0.000000000' "$kout" \
-  || { echo "check: pipeline objectives differ dense vs sparse" >&2; exit 1; }
+  || { echo "check: pipeline objectives differ naive vs incremental" >&2; exit 1; }
 
 # allocation telemetry must be reported for both domain counts; diff them
 a1="$(grep -o '"sparse_d1":{[^{]*' "$kout" | grep -o '"alloc_bytes":[0-9]*')"
@@ -99,6 +104,14 @@ if [ "$rdom" -gt 1 ]; then
 else
   echo "   scaling assertion skipped (recommended_domains=$rdom)"
 fi
+
+echo "== experiments smoke (experiments all --quick)"
+eout="$tmpdir/experiments.txt"
+dune exec bin/experiments.exe -- all --quick > "$eout"
+for e in $(seq 1 13); do
+  grep -q "^== E$e:" "$eout" || { echo "check: experiments output lacks E$e" >&2; exit 1; }
+done
+echo "   experiments: E1-E13 quick run completed"
 
 echo "== construction smoke (bench construction, quick mode)"
 cout="$tmpdir/construction.json"

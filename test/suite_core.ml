@@ -84,15 +84,18 @@ let test_lp_zeroed_bidder () =
     (without0.Lp.objective <= full.Lp.objective +. 1e-6)
 
 let test_lp_engines_agree () =
-  (* The two simplex engines must produce the same optimum on real auction
-     LPs (values can differ at degenerate vertices; objectives cannot). *)
+  (* The library engine must reach the dense reference's optimum on real
+     auction LPs (values can differ at degenerate vertices; objectives
+     cannot). *)
   for seed = 1 to 6 do
     let inst = random_unweighted_instance ~seed ~n:15 ~k:3 ~d:4 in
-    let dense = Lp.solve_explicit ~engine:Sa_lp.Model.Dense_tableau inst in
-    let revised = Lp.solve_explicit ~engine:Sa_lp.Model.Revised_sparse inst in
-    if Float.abs (dense.Lp.objective -. revised.Lp.objective) > 1e-5 then
-      Alcotest.failf "engines disagree: %.8f vs %.8f" dense.Lp.objective
-        revised.Lp.objective;
+    let dense =
+      (Dense_simplex.solve (Dense_simplex.problem_of_model (fst (Lp.build inst))))
+        .Sa_lp.Simplex.objective
+    in
+    let revised = Lp.solve_explicit inst in
+    if Float.abs (dense -. revised.Lp.objective) > 1e-5 then
+      Alcotest.failf "engines disagree: %.8f vs %.8f" dense revised.Lp.objective;
     Alcotest.(check bool) "revised solution LP-feasible" true
       (Lp.is_lp_feasible inst revised)
   done
@@ -244,7 +247,7 @@ let test_oracle_pricing_parity () =
   List.iter
     (fun inst ->
       let run ~pricing ~domains =
-        Oracle.solve ~engine:Sa_lp.Model.Revised_sparse ~pricing ~domains inst
+        Oracle.solve ~pricing ~domains inst
       in
       let f_naive, s_naive = run ~pricing:Oracle.Naive ~domains:1 in
       let f_inc, s_inc = run ~pricing:Oracle.Incremental ~domains:1 in

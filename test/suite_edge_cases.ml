@@ -149,7 +149,7 @@ let test_simplex_iteration_limit () =
       rows = [| ([| 1.0; 1.0 |], Simplex.Le, 10.0); ([| 1.0; 0.0 |], Simplex.Le, 5.0) |];
     }
   in
-  let s = Simplex.solve ~max_iters:1 p in
+  let s = Sa_lp.Revised.solve ~max_iters:1 p in
   Alcotest.(check bool) "hits iteration limit" true
     (s.Simplex.status = Simplex.Iteration_limit)
 
@@ -162,7 +162,7 @@ let test_simplex_empty_objective () =
       rows = [| ([| 1.0 |], Simplex.Le, 1.0) |];
     }
   in
-  let s = Simplex.solve p in
+  let s = Sa_lp.Revised.solve p in
   Alcotest.(check bool) "optimal" true (s.Simplex.status = Simplex.Optimal);
   Alcotest.(check (float 1e-12)) "zero" 0.0 s.Simplex.objective
 
@@ -174,7 +174,7 @@ let test_simplex_equality_infeasible () =
       rows = [| ([| 1.0 |], Simplex.Eq, 2.0); ([| 1.0 |], Simplex.Eq, 3.0) |];
     }
   in
-  let s = Simplex.solve p in
+  let s = Sa_lp.Revised.solve p in
   Alcotest.(check bool) "infeasible" true (s.Simplex.status = Simplex.Infeasible)
 
 let test_model_row_bounds () =

@@ -10,7 +10,7 @@ module Certify = Sa_lp.Certify
 module Instance = Sa_core.Instance
 module Allocation = Sa_core.Allocation
 module Lp = Sa_core.Lp_relaxation
-module Parallel = Sa_core.Parallel
+module Pool = Sa_core.Pool
 module Serialize = Sa_core.Serialize
 module Workloads = Sa_exp.Workloads
 module Engine = Sa_engine.Engine
@@ -197,7 +197,7 @@ let test_workload_rejects_malformed () =
   Alcotest.(check bool) "missing n" true
     (bad "specauction-workload 1\nbatch model=protocol k=2\nend\n")
 
-(* ---------- Parallel.map_array ------------------------------------------- *)
+(* ---------- Pool.map_array ----------------------------------------------- *)
 
 let test_map_array_matches_sequential () =
   let arr = Array.init 23 (fun i -> i) in
@@ -208,12 +208,12 @@ let test_map_array_matches_sequential () =
       Alcotest.(check (array int))
         (Printf.sprintf "%d domains" domains)
         expected
-        (Parallel.map_array ~domains f arr))
+        (Pool.map_array ~domains f arr))
     [ 1; 2; 3; 7; 64 ];
-  Alcotest.(check (array int)) "empty input" [||] (Parallel.map_array ~domains:4 f [||]);
+  Alcotest.(check (array int)) "empty input" [||] (Pool.map_array ~domains:4 f [||]);
   Alcotest.check_raises "domains >= 1"
-    (Invalid_argument "Parallel.map_array: domains must be >= 1") (fun () ->
-      ignore (Parallel.map_array ~domains:0 f arr))
+    (Invalid_argument "Pool.map_array: domains must be >= 1") (fun () ->
+      ignore (Pool.map_array ~domains:0 f arr))
 
 (* ---------- registration ------------------------------------------------- *)
 

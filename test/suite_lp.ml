@@ -7,10 +7,10 @@ module Prng = Sa_util.Prng
 let check_float = Alcotest.(check (float 1e-6))
 
 let solve_max c rows =
-  Simplex.solve { Simplex.direction = Maximize; c; rows = Array.of_list rows }
+  Sa_lp.Revised.solve { Simplex.direction = Maximize; c; rows = Array.of_list rows }
 
 let solve_min c rows =
-  Simplex.solve { Simplex.direction = Minimize; c; rows = Array.of_list rows }
+  Sa_lp.Revised.solve { Simplex.direction = Minimize; c; rows = Array.of_list rows }
 
 let status_testable =
   Alcotest.testable
@@ -150,7 +150,7 @@ let prop_random_packing =
               Simplex.Le,
               1.0 +. Prng.float g 5.0 ))
       in
-      let s = Simplex.solve { Simplex.direction = Maximize; c; rows } in
+      let s = Sa_lp.Revised.solve { Simplex.direction = Maximize; c; rows } in
       (* A packing LP with a bounded feasible region... may still be
          unbounded if some column is all-zero; accept Optimal or Unbounded,
          and verify properties when Optimal. *)
@@ -189,7 +189,7 @@ let prop_dual_feasible =
               Simplex.Le,
               1.0 +. Prng.float g 5.0 ))
       in
-      let s = Simplex.solve { Simplex.direction = Maximize; c; rows } in
+      let s = Sa_lp.Revised.solve { Simplex.direction = Maximize; c; rows } in
       match s.Simplex.status with
       | Simplex.Optimal ->
           let ok = ref true in
@@ -213,7 +213,7 @@ let test_certify_simple () =
       rows = [| ([| 6.; 4. |], Simplex.Le, 24.); ([| 1.; 2. |], Simplex.Le, 6.) |];
     }
   in
-  let s = Simplex.solve p in
+  let s = Sa_lp.Revised.solve p in
   let r = Sa_lp.Certify.check p s in
   Alcotest.(check bool) "certified" true r.Sa_lp.Certify.certified
 
@@ -225,7 +225,7 @@ let test_certify_rejects_tampering () =
       rows = [| ([| 1.0 |], Simplex.Le, 3.0) |];
     }
   in
-  let s = Simplex.solve p in
+  let s = Sa_lp.Revised.solve p in
   let tampered = { s with Simplex.x = [| 5.0 |] } in
   let r = Sa_lp.Certify.check p tampered in
   Alcotest.(check bool) "primal violation caught" false
@@ -249,7 +249,7 @@ let prop_certify_random =
               0.5 +. Prng.float g 5.0 ))
       in
       let p = { Simplex.direction = Simplex.Maximize; c; rows } in
-      let s = Simplex.solve p in
+      let s = Sa_lp.Revised.solve p in
       match s.Simplex.status with
       | Simplex.Optimal -> (Sa_lp.Certify.check p s).Sa_lp.Certify.certified
       | _ -> false)
@@ -268,7 +268,7 @@ let prop_certify_min_random =
               0.5 +. Prng.float g 5.0 ))
       in
       let p = { Simplex.direction = Simplex.Minimize; c; rows } in
-      let s = Simplex.solve p in
+      let s = Sa_lp.Revised.solve p in
       match s.Simplex.status with
       | Simplex.Optimal -> (Sa_lp.Certify.check p s).Sa_lp.Certify.certified
       | _ -> false)
@@ -306,7 +306,7 @@ let prop_certify_degenerate =
       (* x = 0 is feasible (Le rows, b >= 0) so the LP is never infeasible;
          an all-zero column with positive objective makes it unbounded,
          which we accept. *)
-      let s = Simplex.solve p in
+      let s = Dense_simplex.solve p in
       match s.Simplex.status with
       | Simplex.Unbounded -> true
       | Simplex.Optimal ->
@@ -347,7 +347,7 @@ let test_certify_edge_cases () =
   in
   let solvers =
     [
-      ("dense", fun p -> Simplex.solve p);
+      ("dense", fun p -> Dense_simplex.solve p);
       ( "revised-dantzig",
         fun p -> Sa_lp.Revised.solve ~pricing:Sa_lp.Revised.Dantzig p );
       ( "revised-devex",
@@ -722,11 +722,10 @@ let test_presolve_model_integration () =
     m
   in
   let plain =
-    Model.solve_with_basis ~engine:Model.Revised_sparse
-      ~workspace:(Sa_lp.Workspace.create ()) (build ())
+    Model.solve_with_basis ~workspace:(Sa_lp.Workspace.create ()) (build ())
   in
   let pre =
-    Model.solve_with_basis ~engine:Model.Revised_sparse ~presolve:true
+    Model.solve_with_basis ~presolve:true
       ~workspace:(Sa_lp.Workspace.create ()) (build ())
   in
   Alcotest.check status_testable "status" Simplex.Optimal
@@ -737,7 +736,7 @@ let test_presolve_model_integration () =
   | None -> Alcotest.fail "presolved solve should return a basis"
   | Some basis ->
       let rewarmed =
-        Model.solve_with_basis ~engine:Model.Revised_sparse ~presolve:true
+        Model.solve_with_basis ~presolve:true
           ~warm_start:basis
           ~workspace:(Sa_lp.Workspace.create ())
           (build ())
@@ -775,7 +774,7 @@ let test_revised_matches_dense_basics () =
   in
   List.iter
     (fun p ->
-      let a = Simplex.solve p and b = Sa_lp.Revised.solve p in
+      let a = Dense_simplex.solve p and b = Sa_lp.Revised.solve p in
       Alcotest.(check bool) "status agrees" true (a.Simplex.status = b.Simplex.status);
       Alcotest.(check (float 1e-6)) "objective agrees" a.Simplex.objective
         b.Simplex.objective;
@@ -824,7 +823,7 @@ let prop_revised_matches_dense =
       in
       let direction = if Prng.bool g then Simplex.Maximize else Simplex.Minimize in
       let p = { Simplex.direction; c; rows } in
-      let a = Simplex.solve p and b = Sa_lp.Revised.solve p in
+      let a = Dense_simplex.solve p and b = Sa_lp.Revised.solve p in
       match (a.Simplex.status, b.Simplex.status) with
       | Simplex.Optimal, Simplex.Optimal ->
           Float.abs (a.Simplex.objective -. b.Simplex.objective)
@@ -865,7 +864,7 @@ let prop_eta_warm_matches_dense_across_domains =
           rows = Array.append unit_rows intf_rows;
         }
       in
-      let dense = Simplex.solve p in
+      let dense = Dense_simplex.solve p in
       let close a = Float.abs (a -. dense.Simplex.objective) <= 1e-6 *. Float.max 1.0 (Float.abs dense.Simplex.objective) in
       let certified s = (Sa_lp.Certify.check p s).Sa_lp.Certify.certified in
       let run _ =
@@ -878,8 +877,8 @@ let prop_eta_warm_matches_dense_across_domains =
         && st2.Sa_lp.Revised.warm_used
       in
       dense.Simplex.status = Simplex.Optimal
-      && Array.for_all Fun.id (Sa_core.Fanout.map_array ~domains:1 run (Array.init 2 Fun.id))
-      && Array.for_all Fun.id (Sa_core.Fanout.map_array ~domains:4 run (Array.init 4 Fun.id)))
+      && Array.for_all Fun.id (Sa_core.Pool.map_array ~domains:1 run (Array.init 2 Fun.id))
+      && Array.for_all Fun.id (Sa_core.Pool.map_array ~domains:4 run (Array.init 4 Fun.id)))
 
 let suite =
   [

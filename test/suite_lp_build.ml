@@ -214,7 +214,7 @@ let test_colgen_matches_explicit () =
       List.iter
         (fun seed ->
           let inst = random_instance ~nan_ok:false ~kind seed in
-          let explicit = Lp.solve_explicit ~engine:Model.Revised_sparse inst in
+          let explicit = Lp.solve_explicit inst in
           let colgen, _ = Oracle.solve inst in
           let scale = Float.max 1.0 (Float.abs explicit.Lp.objective) in
           if Float.abs (colgen.Lp.objective -. explicit.Lp.objective) > 1e-6 *. scale then

@@ -4,7 +4,7 @@
    The load-bearing properties: span parent/child links are exact (no
    orphans while the ring holds everything; children nest inside their
    parent's interval on the same domain, including under
-   Parallel.map_array), the event log renders byte-identically at any
+   Pool.map_array), the event log renders byte-identically at any
    --domains value, the Chrome exporter emits schema-valid JSON for any
    span contents, and /metrics serves every well-known metric. *)
 
@@ -13,7 +13,7 @@ module Trace = Sa_telemetry.Trace
 module Export = Sa_telemetry.Export
 module Eventlog = Sa_telemetry.Eventlog
 module Http = Sa_telemetry.Http
-module Parallel = Sa_core.Parallel
+module Pool = Sa_core.Pool
 module Workloads = Sa_exp.Workloads
 module Engine = Sa_engine.Engine
 
@@ -82,7 +82,7 @@ let test_span_wellformed_across_domains () =
   let registry = Metrics.create () in
   let h = Metrics.histogram ~registry "obs.par.seconds" in
   ignore
-    (Parallel.map_array ~domains:4
+    (Pool.map_array ~domains:4
        (fun i ->
          Trace.with_span ~hist:h "task" (fun () ->
              Trace.add_attr "task" (string_of_int i);
@@ -348,6 +348,38 @@ let test_http_scrape_metrics () =
       let status, _ = Http.get ~port "/nothere" in
       Alcotest.(check int) "unknown path 404" 404 status)
 
+(* The request-line contract of the scrape server, under arbitrary bytes
+   and under mutations of well-formed heads: parsing never raises, a
+   served path never carries a query, and every rejection is 400 or 405. *)
+let prop_http_request_line_contract =
+  let heads =
+    [|
+      "GET /metrics HTTP/1.0\r\n\r\n";
+      "GET /jobs?since=3&limit=9 HTTP/1.1\r\nHost: localhost\r\n\r\n";
+      "GET /a?b?c HTTP/1.0\n\n";
+      "POST /healthz HTTP/1.0\r\nContent-Length: 0\r\n\r\n";
+    |]
+  in
+  QCheck.Test.make ~name:"http request line: no raise, no query in path, 400/405"
+    ~count:2000
+    QCheck.(int_range 0 max_int)
+    (fun seed ->
+      let g = Sa_util.Prng.create ~seed in
+      let head =
+        if Sa_util.Prng.int g 4 = 0 then
+          String.init (Sa_util.Prng.int g 64) (fun _ ->
+              Char.chr (Sa_util.Prng.int g 256))
+        else
+          Fuzz.mutate ~interesting:"GET /?\r\n" g
+            heads.(Sa_util.Prng.int g (Array.length heads))
+      in
+      match Http.parse_request head with
+      | Ok path -> not (String.contains path '?')
+      | Error (400 | 405) -> true
+      | Error status -> QCheck.Test.fail_reportf "status %d on %S" status head
+      | exception e ->
+          QCheck.Test.fail_reportf "raised %s on %S" (Printexc.to_string e) head)
+
 let suite =
   let q = QCheck_alcotest.to_alcotest in
   [
@@ -370,4 +402,6 @@ let suite =
       test_engine_spans_have_attrs;
     Alcotest.test_case "http scrape serves every well-known metric" `Quick
       test_http_scrape_metrics;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2026 |])
+      prop_http_request_line_contract;
   ]

@@ -173,44 +173,13 @@ let fuzz_allocation =
      alloc.(11) <- Bundle.of_list [ 0; 3 ];
      Serialize.allocation_to_string alloc)
 
-(* 1-3 byte edits (overwrite, insert or delete), biased towards the bytes
-   that turn one well-formed number or line into another. *)
-let mutate g text =
-  let interesting = "0123456789- \n" in
-  let byte () =
-    if Prng.bool g then interesting.[Prng.int g (String.length interesting)]
-    else Char.chr (Prng.int g 256)
-  in
-  let b = Buffer.create (String.length text + 3) in
-  Buffer.add_string b text;
-  for _ = 1 to 1 + Prng.int g 3 do
-    let s = Buffer.contents b in
-    let len = String.length s in
-    let i = Prng.int g (max 1 len) in
-    Buffer.clear b;
-    match Prng.int g 3 with
-    | 0 when len > 0 ->
-        Buffer.add_string b (String.sub s 0 i);
-        Buffer.add_char b (byte ());
-        Buffer.add_string b (String.sub s (i + 1) (len - i - 1))
-    | 1 ->
-        Buffer.add_string b (String.sub s 0 i);
-        Buffer.add_char b (byte ());
-        Buffer.add_string b (String.sub s i (len - i))
-    | _ when len > 0 ->
-        Buffer.add_string b (String.sub s 0 i);
-        Buffer.add_string b (String.sub s (i + 1) (len - i - 1))
-    | _ -> Buffer.add_string b s
-  done;
-  Buffer.contents b
-
 (* [fixture seed] picks the text to mutate, [parse] reads it. *)
 let only_failure ~what ~fixture ~parse =
   QCheck.Test.make ~name:(Printf.sprintf "%s parser: byte mutations raise only Failure" what)
     ~count:1500
     QCheck.(int_range 0 max_int)
     (fun seed ->
-      let text = mutate (Prng.create ~seed) (fixture seed) in
+      let text = Fuzz.mutate (Prng.create ~seed) (fixture seed) in
       match parse text with
       | () -> true
       | exception Failure _ -> true

@@ -2,13 +2,13 @@
 
    The load-bearing property is domain-safety: counter totals must be
    EXACT — not approximately right — when increments race across the
-   domains of Parallel.map_array, because scripts/check.sh diffs counter
+   domains of Pool.map_array, because scripts/check.sh diffs counter
    blocks across --domains values byte-for-byte. *)
 
 module Metrics = Sa_telemetry.Metrics
 module Trace = Sa_telemetry.Trace
 module Export = Sa_telemetry.Export
-module Parallel = Sa_core.Parallel
+module Pool = Sa_core.Pool
 module Timing = Sa_util.Timing
 
 let test_counter_exact_across_domains () =
@@ -19,7 +19,7 @@ let test_counter_exact_across_domains () =
       let per_task = 1_000 in
       let tasks = Array.init 64 Fun.id in
       ignore
-        (Parallel.map_array ~domains
+        (Pool.map_array ~domains
            (fun _ ->
              for _ = 1 to per_task do
                Metrics.incr c
@@ -38,7 +38,7 @@ let prop_counter_add_exact =
       let registry = Metrics.create () in
       let c = Metrics.counter ~registry "test.prop.adds" in
       let arr = Array.of_list amounts in
-      ignore (Parallel.map_array ~domains (fun n -> Metrics.add c n) arr);
+      ignore (Pool.map_array ~domains (fun n -> Metrics.add c n) arr);
       Metrics.counter_value c = Array.fold_left ( + ) 0 arr)
 
 let test_histogram_exact_across_domains () =
@@ -48,7 +48,7 @@ let test_histogram_exact_across_domains () =
   in
   (* 0.5 -> bucket <=1, 1.5 -> <=2, 8.0 -> +inf overflow *)
   let samples = Array.init 90 (fun i -> [| 0.5; 1.5; 8.0 |].(i mod 3)) in
-  ignore (Parallel.map_array ~domains:4 (Metrics.observe h) samples);
+  ignore (Pool.map_array ~domains:4 (Metrics.observe h) samples);
   Alcotest.(check int) "count" 90 (Metrics.histogram_count h);
   Alcotest.(check (float 1e-9)) "sum" (30.0 *. (0.5 +. 1.5 +. 8.0))
     (Metrics.histogram_sum h);
@@ -67,7 +67,7 @@ let test_gauge_ops () =
   Alcotest.(check (float 1e-12)) "set+add" 3.25 (Metrics.gauge_value g);
   (* concurrent add_gauge must not lose updates (CAS loop) *)
   ignore
-    (Parallel.map_array ~domains:4
+    (Pool.map_array ~domains:4
        (fun _ -> Metrics.add_gauge g 1.0)
        (Array.make 400 ()));
   Alcotest.(check (float 1e-9)) "racing adds" 403.25 (Metrics.gauge_value g)
@@ -228,9 +228,9 @@ let test_well_known_schema () =
       if Metrics.find_counter view name = None then
         Alcotest.fail (name ^ " not pre-registered"))
     [
-      "lp.simplex.pivots"; "lp.revised.pivots"; "core.colgen.oracle_calls";
-      "core.rounding.trials"; "core.derand.candidates"; "graph.rho.estimates";
-      "engine.topology.hits"; "engine.basis.lookups";
+      "lp.revised.pivots"; "core.colgen.oracle_calls"; "core.rounding.trials";
+      "core.derand.candidates"; "graph.rho.estimates"; "engine.topology.hits";
+      "engine.basis.lookups";
     ]
 
 let suite =
